@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck check bench bench-perf chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+.PHONY: all build fmt vet test race race-diffcheck check bench bench-perf chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -17,7 +21,7 @@ race:
 	$(GO) test -race ./...
 
 # The full CI gate: compile, static checks, race-enabled tests, chaos gates.
-check: build vet race chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+check: build fmt vet race chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.
@@ -91,10 +95,11 @@ bench:
 	$(GO) run ./cmd/univibench -quick -all
 
 # Wall-clock comparison of the incremental vs global flow allocator over
-# the quick figure sweeps. Override the output with PERF_OUT=path.
-PERF_OUT ?= BENCH_PR10.json
+# the quick figure sweeps, written to univibench's default -out path.
+# Override the output with PERF_OUT=path.
+PERF_OUT ?=
 bench-perf:
-	$(GO) run ./cmd/univibench -quick -perf -out $(PERF_OUT)
+	$(GO) run ./cmd/univibench -quick -perf $(if $(PERF_OUT),-out $(PERF_OUT))
 
 # Race-enabled sim + chaos tests with the differential-check oracle armed,
 # so the concurrent solver is exercised against the reference allocator.

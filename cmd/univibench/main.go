@@ -31,7 +31,7 @@ func main() {
 		smoke    = flag.Bool("chaos-smoke", false, "run every figure with fault injection armed and sweep all invariants; exit 1 on any violation")
 		spec     = flag.String("chaos-spec", "", "chaos spec for -chaos-smoke (default: the built-in non-destructive schedule)")
 		perf     = flag.Bool("perf", false, "time the figure sweeps under the incremental and global allocators and write the comparison JSON")
-		perfOut  = flag.String("out", "BENCH_PR9.json", "output path for the -perf report")
+		perfOut  = flag.String("out", "BENCH_PR10.json", "output path for the -perf report")
 		perfReps = flag.Int("perf-reps", 3, "repetitions per sweep and mode in -perf (best-of)")
 		perfFigs = flag.String("perf-figs", "", "comma-separated figure ids for -perf (default: fig5a,fig6a,fig7,fig8,fig9; non-quick -perf appends fig8@1k/4k/16k rank sweeps)")
 		workers  = flag.Int("workers", 0, "solver worker pool size per engine (0 = runtime.NumCPU(); results are byte-identical at any value)")

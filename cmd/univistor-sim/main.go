@@ -110,7 +110,7 @@ func main() {
 		ckptRetain = flag.Int("ckpt-retain", 0,
 			"checkpoint: keep only this many newest step files, deleting older ones (0 = keep all)")
 		ckptSeed = flag.Int64("ckpt-seed", 1, "checkpoint: mutation-pattern seed")
-		gwMode = flag.Bool("gateway", false,
+		gwMode   = flag.Bool("gateway", false,
 			"drive the system through the multi-tenant QoS gateway instead of the micro workload (univistor driver only)")
 		tenants = flag.Int("tenants", 64, "gateway: simulated tenant count")
 		zipfS   = flag.Float64("zipf", 1.2, "gateway: Zipf skew of object popularity (>1)")
@@ -118,13 +118,13 @@ func main() {
 		gwOps   = flag.Int("gw-ops", 0, "gateway: closed-loop ops per tenant (0 = gateway default)")
 		gwRate  = flag.Float64("gw-arrival", 0,
 			"gateway: open-loop arrivals per tenant per virtual second (>0 switches from closed to open loop)")
-		gwSecs = flag.Float64("gw-seconds", 0, "gateway: open-loop duration in virtual seconds (0 = gateway default)")
-		gwKiB  = flag.Int64("gw-kb", 0, "gateway: payload KiB per data op (0 = gateway default)")
-		gwSeed = flag.Int64("gw-seed", 1, "gateway: workload seed")
+		gwSecs  = flag.Float64("gw-seconds", 0, "gateway: open-loop duration in virtual seconds (0 = gateway default)")
+		gwKiB   = flag.Int64("gw-kb", 0, "gateway: payload KiB per data op (0 = gateway default)")
+		gwSeed  = flag.Int64("gw-seed", 1, "gateway: workload seed")
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) to this path")
-		chaosIn  = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
-		alloc    = flag.String("alloc", "", "flow allocator: incremental (default) | global (also settable via UNIVISTOR_SIM_ALLOC)")
-		workers  = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
+		chaosIn = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
+		alloc   = flag.String("alloc", "", "flow allocator: incremental (default) | global (also settable via UNIVISTOR_SIM_ALLOC)")
+		workers = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
 	)
 	flag.Parse()
 	if *metaReplicas > 1 && *metaShards == 0 {
@@ -165,6 +165,9 @@ func main() {
 	if *gwMode && (*ckptSteps > 0 || *doRead || *doFlush) {
 		fatal("-gateway drives its own workload; drop -ckpt/-read/-flush")
 	}
+	if *gwMode && *dedup {
+		fatal("-dedup acts on the flush path, which -gateway never runs; drop -dedup")
+	}
 
 	tc := topology.Cori()
 	nodes := (*procs + *perNode - 1) / *perNode
@@ -202,6 +205,7 @@ func main() {
 	}
 
 	var env *mpiio.Env
+	var sys *core.System
 	var uv *mpiio.UniviStorDriver
 	var de *dataelevator.Driver
 	var harness *chaos.Harness
@@ -226,23 +230,11 @@ func main() {
 			}
 			cc.DedupBlockBytes = blockMB << 20
 		}
-		cc.CacheTiers = nil
-		for _, tok := range strings.Split(*tiers, ",") {
-			switch strings.TrimSpace(tok) {
-			case "dram":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierDRAM)
-			case "ssd":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierLocalSSD)
-			case "bb":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierBB)
-			case "object":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierObject)
-			case "":
-			default:
-				fatal("unknown tier %q", tok)
-			}
+		var err error
+		if cc.CacheTiers, err = meta.ParseCacheTiers(*tiers); err != nil {
+			fatal("%v", err)
 		}
-		sys, err := core.NewSystem(w, cc)
+		sys, err = core.NewSystem(w, cc)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -314,7 +306,7 @@ func main() {
 		if *gwSecs > 0 {
 			gcfg.DurationSeconds = *gwSecs
 		}
-		g, err := gateway.Start(uv.Sys, gcfg)
+		g, err := gateway.Start(sys, gcfg)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -334,39 +326,11 @@ func main() {
 			fatal("gateway invariants violated:\n  %s", strings.Join(viol, "\n  "))
 		}
 		rep := g.Report()
-		out := Output{
+		emit(Output{
 			Driver: *driver, Procs: gcfg.Tenants, Nodes: nodes,
 			VirtualEnd: float64(end),
 			Gateway:    &rep,
-		}
-		st := uv.Sys.Stats()
-		out.Stats = &st
-		d := uv.Sys.MetaOpDetail()
-		out.MetaOps = &d
-		if pl := uv.Sys.Plane(); pl != nil {
-			pst := pl.Stats()
-			out.MetaPlane = &pst
-		}
-		as := e.AllocStats()
-		out.Alloc = &as
-		if harness != nil {
-			crep := harness.Finish()
-			out.Chaos = &crep
-		}
-		if rec != nil {
-			if err := rec.ExportChromeFile(*traceTo); err != nil {
-				fatal("writing trace: %v", err)
-			}
-			out.TraceSummary = rec.Summarize(8)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal("%v", err)
-		}
-		if out.Chaos != nil && len(out.Chaos.Violations) > 0 {
-			fatal("%d invariant violation(s) under chaos", len(out.Chaos.Violations))
-		}
+		}, e, sys, harness, rec, *traceTo)
 		return
 	}
 
@@ -387,8 +351,8 @@ func main() {
 		}
 		r.Barrier()
 		if *doFlush || *doRead {
-			if uv != nil {
-				uv.Sys.WaitFlush(r.P, cfg.FileName)
+			if sys != nil {
+				sys.WaitFlush(r.P, cfg.FileName)
 			}
 			if de != nil {
 				de.WaitFlush(r.P, cfg.FileName)
@@ -447,8 +411,8 @@ func main() {
 	app := w.Launch("app", *procs, appMain, mpi.LaunchOpts{RanksPerNode: *perNode})
 	e.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)
-		if uv != nil {
-			uv.Sys.Shutdown()
+		if sys != nil {
+			sys.Shutdown()
 		}
 	})
 	end := e.Run()
@@ -460,9 +424,10 @@ func main() {
 	total := float64(*procs) * float64(cfg.BytesPerRank)
 	out := Output{
 		Driver: *driver, Procs: *procs, Nodes: nodes,
-		BytesPerRank: cfg.BytesPerRank,
-		WriteSecs:    float64(maxWrite),
-		VirtualEnd:   float64(end),
+		BytesPerRank:  cfg.BytesPerRank,
+		WriteSecs:     float64(maxWrite),
+		VirtualEnd:    float64(end),
+		ReadLostRanks: readLost,
 	}
 	if maxWrite > 0 {
 		out.WriteGiBs = total / float64(maxWrite) / gib
@@ -475,8 +440,8 @@ func main() {
 		var bytes int64
 		var start, endF sim.Time
 		var ok bool
-		if uv != nil {
-			bytes, start, endF, ok = uv.Sys.FlushStats(cfg.FileName)
+		if sys != nil {
+			bytes, start, endF, ok = sys.FlushStats(cfg.FileName)
 		} else if de != nil {
 			bytes, start, endF, ok = de.FlushStats(cfg.FileName)
 		}
@@ -485,13 +450,20 @@ func main() {
 			out.FlushGiBs = float64(bytes) / float64(endF-start) / gib
 		}
 	}
-	if uv != nil {
-		st := uv.Sys.Stats()
+	emit(out, e, sys, harness, rec, *traceTo)
+}
+
+// emit completes the output document with the counter blocks every run
+// shares (sys is nil for the non-UniviStor drivers), writes the trace,
+// prints the JSON document and exits 1 on invariant violations under chaos.
+func emit(out Output, e *sim.Engine, sys *core.System, harness *chaos.Harness, rec *trace.Recorder, traceTo string) {
+	if sys != nil {
+		st := sys.Stats()
 		out.Stats = &st
-		out.CAS = uv.Sys.CASStats()
-		d := uv.Sys.MetaOpDetail()
+		out.CAS = sys.CASStats()
+		d := sys.MetaOpDetail()
 		out.MetaOps = &d
-		if pl := uv.Sys.Plane(); pl != nil {
+		if pl := sys.Plane(); pl != nil {
 			pst := pl.Stats()
 			out.MetaPlane = &pst
 		}
@@ -501,10 +473,9 @@ func main() {
 	if harness != nil {
 		rep := harness.Finish()
 		out.Chaos = &rep
-		out.ReadLostRanks = readLost
 	}
 	if rec != nil {
-		if err := rec.ExportChromeFile(*traceTo); err != nil {
+		if err := rec.ExportChromeFile(traceTo); err != nil {
 			fatal("writing trace: %v", err)
 		}
 		out.TraceSummary = rec.Summarize(8)

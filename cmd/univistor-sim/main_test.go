@@ -3,12 +3,26 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// buildSim builds the command into a temporary directory and returns the
+// binary's path.
+func buildSim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "univistor-sim")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = os.Environ()
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // Regression test for the debug-diagnostics channel: with
 // UNIVISTOR_SIM_DEBUG set, stdout must still be exactly one JSON
@@ -18,12 +32,7 @@ func TestDebugDiagnosticsDoNotCorruptJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "univistor-sim")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t)
 
 	cmd := exec.Command(bin, "-procs", "8", "-ranks-per-node", "4", "-mb", "8", "-seg-mb", "4")
 	cmd.Env = append(os.Environ(), "UNIVISTOR_SIM_DEBUG=1")
@@ -56,12 +65,7 @@ func TestAllocModesIdenticalOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "univistor-sim")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t)
 
 	run := func(mode string) Output {
 		cmd := exec.Command(bin, "-procs", "8", "-ranks-per-node", "4", "-mb", "8",
@@ -86,5 +90,29 @@ func TestAllocModesIdenticalOutput(t *testing.T) {
 	b, _ := json.Marshal(glob)
 	if !bytes.Equal(a, b) {
 		t.Errorf("measurements differ across allocator modes:\nincremental: %s\nglobal:      %s", a, b)
+	}
+}
+
+// -dedup acts only on the flush path, which gateway mode never runs, so
+// the combination is a usage error rather than a silently ignored flag.
+func TestGatewayRejectsDedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	cmd := exec.Command(buildSim(t), "-gateway", "-dedup")
+	cmd.Env = os.Environ()
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("univistor-sim -gateway -dedup: err = %v, want exit status 1", err)
+	}
+	if want := "-dedup acts on the flush path, which -gateway never runs"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to contain %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("usage error wrote to stdout: %q", stdout.String())
 	}
 }

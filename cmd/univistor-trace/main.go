@@ -63,21 +63,9 @@ func main() {
 
 	cc := core.DefaultConfig()
 	cc.FlushOnClose = *doFlush
-	cc.CacheTiers = nil
-	for _, tok := range strings.Split(*tiers, ",") {
-		switch strings.TrimSpace(tok) {
-		case "dram":
-			cc.CacheTiers = append(cc.CacheTiers, meta.TierDRAM)
-		case "ssd":
-			cc.CacheTiers = append(cc.CacheTiers, meta.TierLocalSSD)
-		case "bb":
-			cc.CacheTiers = append(cc.CacheTiers, meta.TierBB)
-		case "object":
-			cc.CacheTiers = append(cc.CacheTiers, meta.TierObject)
-		case "":
-		default:
-			fatal("unknown tier %q", tok)
-		}
+	var err error
+	if cc.CacheTiers, err = meta.ParseCacheTiers(*tiers); err != nil {
+		fatal("%v", err)
 	}
 	sys, err := core.NewSystem(w, cc)
 	if err != nil {

@@ -329,16 +329,3 @@ func (r Report) Summary() string {
 	return fmt.Sprintf("chaos[%s]: %d fault(s), %d sweep(s), %s",
 		r.Spec, len(r.Faults), r.Checks, status)
 }
-
-// Lines renders the full report for human output: the summary, then each
-// fault and violation indented.
-func (r Report) Lines() []string {
-	out := []string{r.Summary()}
-	for _, f := range r.Faults {
-		out = append(out, "  fault: "+f)
-	}
-	for _, v := range r.Violations {
-		out = append(out, "  VIOLATION: "+v)
-	}
-	return out
-}

@@ -293,12 +293,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-func (c Config) cachesTier(t meta.Tier) bool {
-	for _, ct := range c.CacheTiers {
-		if ct == t {
-			return true
-		}
-	}
-	return false
-}

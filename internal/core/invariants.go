@@ -34,6 +34,9 @@ import (
 //     size equals the live logical extent bytes the file block maps hold, no
 //     block is freed while referenced, every byte ever interned is live,
 //     dead, or freed, and no orphan dead block outlives the collector.
+//  7. Metadata backend — the backend's own checks: ring records sit on
+//     their home servers; the plane keeps its committed-record ledger,
+//     replica and lease invariants.
 func (sys *System) CheckInvariants() []string {
 	var out []string
 	out = append(out, sys.checkPools()...)
@@ -41,11 +44,7 @@ func (sys *System) CheckInvariants() []string {
 	out = append(out, sys.checkMetadataCoverage()...)
 	out = append(out, sys.checkStatsCoherence()...)
 	out = append(out, sys.checkCAS()...)
-	if sys.plane != nil {
-		for _, v := range sys.plane.CheckInvariants() {
-			out = append(out, "metaplane "+v)
-		}
-	}
+	out = append(out, sys.meta.checkInvariants()...)
 	out = append(out, sys.W.E.CheckFlowConservation(1e-6)...)
 	return out
 }

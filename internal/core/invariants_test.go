@@ -178,14 +178,20 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		func() { fs.totalWritten += 7 },
 		func() { fs.totalWritten -= 7 })
 
-	recs, _ := sys.ring.Covering(fs.fid, 0, fs.logicalSize)
+	ring := sys.Ring()
+	recs, _ := ring.Covering(fs.fid, 0, fs.logicalSize)
 	if len(recs) == 0 {
 		t.Fatal("no metadata records to corrupt")
 	}
 	lost := recs[0]
 	expect("dropped metadata record", "records lost",
-		func() { sys.ring.Delete(fs.fid, lost.Offset) },
-		func() { sys.ring.Put(lost) })
+		func() { ring.Delete(fs.fid, lost.Offset) },
+		func() { ring.Put(lost) })
+
+	stray := ring.Store((ring.HomeServer(lost.Offset) + 1) % ring.Servers())
+	expect("misplaced ring record", "kvstore: record",
+		func() { stray.Put(lost) },
+		func() { stray.Delete(lost.Key()) })
 
 	expect("stats counter drift", "BytesWritten",
 		func() { sys.stats.BytesWritten[meta.TierDRAM] += 3 },

@@ -2,18 +2,16 @@ package core
 
 // Metadata-service routing: every Put/Get/Covering/Delete of the write,
 // read, placement, and flush paths goes through the helpers here, which
-// dispatch to either the legacy single logical ring (the default; the
-// paper figures depend on its exact costs) or the sharded, replicated
-// metadata plane of internal/metaplane when Config.MetaShards is set.
-// The helpers also feed the MetaOpDetail counters univistor-sim surfaces.
+// call the deployment's single metaBackend (metabackend.go): the legacy
+// logical ring by default, or the sharded, replicated metadata plane when
+// Config.MetaShards is set. No code above the seam branches on the
+// backend. The helpers also keep the MetaOpDetail counters univistor-sim
+// surfaces, once for both backends; the plane-only fault hooks at the end
+// check Plane() once each.
 
 import (
-	"fmt"
-
 	"univistor/internal/meta"
-	"univistor/internal/metaplane"
 	"univistor/internal/sim"
-	"univistor/internal/trace"
 )
 
 // MetaOpDetail breaks metadata record operations down by kind and by
@@ -46,100 +44,55 @@ func (sys *System) MetaOpDetail() MetaOpDetail {
 	return d
 }
 
-// Plane exposes the metadata plane (nil in legacy ring mode).
-func (sys *System) Plane() *metaplane.Plane { return sys.plane }
-
 // metaPut inserts a record through the metadata service, charging one
 // client round trip, and reports the exact-key record it replaced (the
-// rewrite check rides inside the same round trip on both paths).
+// rewrite check rides inside the same round trip on both backends).
 func (sys *System) metaPut(p *sim.Proc, fromNode int, rec meta.Record) (prev meta.Record, replaced bool) {
 	sys.metaDetail.Puts++
-	if sys.plane != nil {
-		prev, replaced = sys.plane.GetLocal(rec.FID, rec.Offset)
-		sp := sys.W.Trace.Begin(p, trace.CatMetaPlane, "plane-put")
-		shard := sys.plane.Put(p, fromNode, rec)
-		sp.End(p.Now())
-		sys.stats.MetaOps++
-		sys.metaDetail.bump(shard)
-		return prev, replaced
-	}
-	srv := sys.ring.HomeServer(rec.Offset)
-	sys.chargeMetaOp(p, fromNode, sys.metaServer(srv))
-	prev, replaced = sys.ring.Get(rec.FID, rec.Offset)
-	sys.ring.Put(rec)
-	sys.metaDetail.bump(srv)
+	prev, replaced, idx := sys.meta.put(p, fromNode, rec)
+	sys.metaDetail.bump(idx)
 	return prev, replaced
 }
 
 // metaCovering resolves the records overlapping [off, off+size) without
-// charging time — the charged per-server round trips follow separately via
-// metaChargeLookup, exactly as the read path batches them. The returned
-// index set is metadata servers (ring mode) or shard ids (plane mode).
+// charging time — the charged per-index round trips follow separately via
+// metaChargeLookup, exactly as the read path batches them.
 func (sys *System) metaCovering(fid meta.FileID, off, size int64) ([]meta.Record, []int) {
 	sys.metaDetail.Coverings++
-	if sys.plane != nil {
-		return sys.plane.CoveringLocal(fid, off, size)
-	}
-	return sys.ring.Covering(fid, off, size)
+	return sys.meta.covering(fid, off, size)
 }
 
 // metaCoveringFree resolves records for internal planning and invariant
 // sweeps: no time, no counters.
 func (sys *System) metaCoveringFree(fid meta.FileID, off, size int64) []meta.Record {
-	if sys.plane != nil {
-		recs, _ := sys.plane.CoveringLocal(fid, off, size)
-		return recs
-	}
-	recs, _ := sys.ring.Covering(fid, off, size)
+	recs, _ := sys.meta.covering(fid, off, size)
 	return recs
 }
 
 // metaChargeLookup charges one read-side metadata round trip against the
-// given server (ring mode) or shard (plane mode).
+// given index.
 func (sys *System) metaChargeLookup(p *sim.Proc, fromNode, idx int) {
 	sys.metaDetail.Gets++
 	sys.metaDetail.bump(idx)
-	if sys.plane != nil {
-		sp := sys.W.Trace.Begin(p, trace.CatMetaPlane, "plane-lookup")
-		sys.plane.Lookup(p, fromNode, idx)
-		sp.End(p.Now())
-		sys.stats.MetaOps++
-		return
-	}
-	sys.chargeMetaOp(p, fromNode, sys.metaServer(idx))
+	sys.meta.lookup(p, fromNode, idx)
 }
 
-// metaDelete removes one record. In ring mode the store op itself is free
-// (the legacy Delete path charges a single round trip for the whole range,
-// at its call site); in plane mode every delete is a replicated commit.
+// metaDelete removes one record (see metaBackend.delete for what each
+// backend charges).
 func (sys *System) metaDelete(p *sim.Proc, fromNode int, fid meta.FileID, off int64) bool {
 	sys.metaDetail.Deletes++
-	if sys.plane != nil {
-		sp := sys.W.Trace.Begin(p, trace.CatMetaPlane, "plane-delete")
-		existed, shard := sys.plane.Delete(p, fromNode, fid, off)
-		sp.End(p.Now())
-		sys.stats.MetaOps++
-		sys.metaDetail.bump(shard)
-		return existed
-	}
-	sys.metaDetail.bump(sys.ring.HomeServer(off))
-	return sys.ring.Delete(fid, off)
+	existed, idx := sys.meta.delete(p, fromNode, fid, off)
+	sys.metaDetail.bump(idx)
+	return existed
 }
 
-// metaRepoint rewrites a record's placement (promotion re-point). The
-// legacy path does this for free inside the promotion; the plane commits
-// it through the WAL like any other mutation.
+// metaRepoint rewrites a record's placement (promotion re-point); it
+// counts as a put only where the backend charges it.
 func (sys *System) metaRepoint(p *sim.Proc, fromNode int, rec meta.Record) {
-	if sys.plane != nil {
-		sp := sys.W.Trace.Begin(p, trace.CatMetaPlane, "plane-repoint")
-		shard := sys.plane.Put(p, fromNode, rec)
-		sp.End(p.Now())
-		sys.stats.MetaOps++
+	if idx, charged := sys.meta.repoint(p, fromNode, rec); charged {
 		sys.metaDetail.Puts++
-		sys.metaDetail.bump(shard)
-		return
+		sys.metaDetail.bump(idx)
 	}
-	sys.ring.Put(rec)
 }
 
 // ---------------------------------------------------------------------------
@@ -151,16 +104,12 @@ func (sys *System) metaRepoint(p *sim.Proc, fromNode int, rec meta.Record) {
 // for later recovery. ok is false when no plane is configured, the shard
 // is unknown, or the crash would kill the last alive replica.
 func (sys *System) MetaCrashLeader(shard int) (replica int, ok bool) {
-	if sys.plane == nil {
+	pl := sys.Plane()
+	if pl == nil {
 		return -1, false
 	}
-	replica, ok = sys.plane.CrashLeader(shard)
-	if ok {
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metacrash: shard %d leader (replica %d) crashed; failed over", shard, replica))
-		if sys.InvariantCheck != nil {
-			sys.InvariantCheck("metacrash")
-		}
+	if replica, ok = pl.CrashLeader(shard); ok {
+		sys.logEvent("metacrash", "metacrash: shard %d leader (replica %d) crashed; failed over", shard, replica)
 	}
 	return replica, ok
 }
@@ -172,34 +121,28 @@ func (sys *System) MetaCrashLeader(shard int) (replica int, ok bool) {
 // the new shard id. ok is false when no plane is configured or another
 // split is still migrating.
 func (sys *System) MetaSplit() (shard int, ok bool) {
-	if sys.plane == nil {
+	pl := sys.Plane()
+	if pl == nil {
 		return -1, false
 	}
-	shard, err := sys.plane.StartSplit(sys.W.E)
+	shard, err := pl.StartSplit(sys.W.E)
 	if err != nil {
 		return -1, false
 	}
-	sys.explain = append(sys.explain, fmt.Sprintf(
-		"metasplit: online split started into new shard %d", shard))
-	if sys.InvariantCheck != nil {
-		sys.InvariantCheck("metasplit")
-	}
+	sys.logEvent("metasplit", "metasplit: online split started into new shard %d", shard)
 	return shard, true
 }
 
 // MetaRecover restarts a crashed metadata replica and catches it up from
 // the current leader (WAL suffix or snapshot install).
 func (sys *System) MetaRecover(shard, replica int) bool {
-	if sys.plane == nil {
+	pl := sys.Plane()
+	if pl == nil {
 		return false
 	}
-	ok := sys.plane.Recover(shard, replica)
+	ok := pl.Recover(shard, replica)
 	if ok {
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metarecover: shard %d replica %d recovered", shard, replica))
-		if sys.InvariantCheck != nil {
-			sys.InvariantCheck("metarecover")
-		}
+		sys.logEvent("metarecover", "metarecover: shard %d replica %d recovered", shard, replica)
 	}
 	return ok
 }

@@ -225,7 +225,7 @@ func TestConfigMetaValidation(t *testing.T) {
 		func(c *Config) { c.MetaShards = -1 },
 		func(c *Config) { c.MetaReplicas = -1 },
 		func(c *Config) { c.MetaShards = 2; c.CentralMetadata = true },
-		func(c *Config) { c.MetaReplicas = 3 },     // replicas without shards
+		func(c *Config) { c.MetaReplicas = 3 },         // replicas without shards
 		func(c *Config) { c.MetaFollowerReads = true }, // follower reads without shards
 		func(c *Config) { c.MetaShards = 2; c.MetaLeaseTime = -1 },
 		func(c *Config) { c.MetaShards = 2; c.MetaLeaseTime = 0.01 }, // lease without follower reads

@@ -166,11 +166,9 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 		}
 		removed++
 	}
-	// One metadata round-trip for the whole range delete (plane mode pays
+	// One metadata round-trip for the whole range delete (the plane paid
 	// per-record replicated commits above instead).
-	if sys.plane == nil {
-		sys.chargeMetaOp(cf.c.rank.P, cf.c.rank.Node(), sys.metaServer(sys.ring.HomeServer(off)))
-	}
+	sys.meta.deleteRange(cf.c.rank.P, cf.c.rank.Node(), off)
 	// Flushed CAS blocks fully inside the range lose their reference now;
 	// the drop and the GC kick are park-free, so no sweep can observe
 	// orphaned dead blocks in between.

@@ -59,13 +59,8 @@ func (sys *System) FailNode(node int) {
 		panic(fmt.Sprintf("core: FailNode(%d) out of range", node))
 	}
 	sys.failedNodes[node] = true
-	if sys.InvariantCheck != nil {
-		sys.InvariantCheck("fail-node")
-	}
+	sys.sweep("fail-node")
 }
-
-// NodeFailed reports whether the node's volatile storage is gone.
-func (sys *System) NodeFailed(node int) bool { return sys.failedNodes[node] }
 
 // Buddy returns the node holding node n's replicas (fault injectors use it
 // to aim double failures at a replica pair).

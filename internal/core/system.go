@@ -11,7 +11,6 @@ import (
 	"univistor/internal/kvstore"
 	"univistor/internal/lustre"
 	"univistor/internal/meta"
-	"univistor/internal/metaplane"
 	"univistor/internal/mpi"
 	"univistor/internal/sim"
 	"univistor/internal/striping"
@@ -33,12 +32,9 @@ type System struct {
 
 	servers    []*Server
 	serverComm *mpi.Comm
-	ring       *kvstore.Ring
-	// plane, when non-nil, is the sharded replicated metadata service that
-	// replaces the ring's role on every client path (Cfg.MetaShards > 0).
-	// The ring is still built — invariant code and tools may inspect it —
-	// but holds no records in plane mode.
-	plane      *metaplane.Plane
+	// meta is the metadata backend every client path goes through: the
+	// ring by default, the sharded plane when Cfg.MetaShards > 0.
+	meta       metaBackend
 	metaDetail MetaOpDetail
 	nodeMeta   []*kvstore.Store // per-node shared metadata buffer (§II-B4)
 	chain      *tier.Chain      // the ordered storage hierarchy, terminal last
@@ -216,77 +212,17 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		}
 	}
 
-	nNodes := len(w.Cluster.Nodes)
-	nServers := nNodes * cfg.ServersPerNode
-	ringServers := nServers
-	if cfg.CentralMetadata {
-		ringServers = 1
-	}
-	sys.ring = kvstore.NewRing(ringServers, cfg.MetaRangeSize)
 	if cfg.MetaShards > 0 {
-		replicas := cfg.MetaReplicas
-		if replicas <= 0 {
-			replicas = 1
-		}
-		sys.Cfg.MetaReplicas = replicas
-		apply := cfg.MetaApplyTime
-		if apply <= 0 {
-			apply = cfg.MetaOpTime / 2
-		}
-		pl, err := metaplane.New(metaplane.Config{
-			Shards:          cfg.MetaShards,
-			Replicas:        replicas,
-			Nodes:           nNodes,
-			RangeSize:       cfg.MetaRangeSize,
-			SnapshotEvery:   cfg.MetaSnapshotEvery,
-			Seed:            424242,
-			RecordLatencies: cfg.MetaRecordLatencies,
-			FollowerReads:   cfg.MetaFollowerReads,
-			LeaseTime:       cfg.MetaLeaseTime,
-			Costs: metaplane.Costs{
-				NetLatency: w.Cluster.Cfg.NetLatency,
-				ShmLatency: cfg.ShmLatency,
-				OpTime:     cfg.MetaOpTime,
-				ApplyTime:  apply,
-			},
-		})
+		pm, err := newPlaneMeta(sys)
 		if err != nil {
 			return nil, err
 		}
-		sys.plane = pl
-		// Split-migration batches ship as real flows over the source and
-		// target NICs and the fabric, competing with application traffic in
-		// the max-min allocator — migration is charged work, not an
-		// administrative sweep.
-		pl.Mover = func(p *sim.Proc, from, to int, bytes int64) {
-			path := w.Cluster.NetPath(from, to)
-			if path == nil {
-				p.Sleep(cfg.ShmLatency)
-				return
-			}
-			p.Sleep(w.Cluster.Cfg.NetLatency)
-			p.Transfer(float64(bytes), path...)
-		}
-		pl.SplitDone = func(shard int) {
-			sys.explain = append(sys.explain, fmt.Sprintf(
-				"metasplit: shard %d migration complete; ring now %d shards",
-				shard, pl.Shards()))
-			if sys.InvariantCheck != nil {
-				sys.InvariantCheck("metasplitdone")
-			}
-		}
-		if w.Trace.Enabled() {
-			pl.Sampler = w.Trace.MetaSample
-			pl.LeaseSampler = w.Trace.LeaseSample
-		}
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metadata plane: %d shards × %d replicas across %d nodes",
-			cfg.MetaShards, replicas, nNodes))
-		if cfg.MetaFollowerReads {
-			sys.explain = append(sys.explain,
-				"metadata plane: leased follower reads enabled")
-		}
+		sys.meta = pm
+	} else {
+		sys.meta = newRingMeta(sys)
 	}
+	nNodes := len(w.Cluster.Nodes)
+	nServers := nNodes * cfg.ServersPerNode
 	for n := 0; n < nNodes; n++ {
 		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore(int64(7000+n)))
 	}
@@ -319,9 +255,6 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 
 // Servers returns the number of server processes.
 func (sys *System) Servers() int { return len(sys.servers) }
-
-// Ring exposes the distributed metadata ring (tests and tools).
-func (sys *System) Ring() *kvstore.Ring { return sys.ring }
 
 // run is a server's main loop: idle until a flush request or shutdown
 // arrives. With interference-aware scheduling the server parks quietly on
@@ -379,25 +312,6 @@ func (sys *System) homeServer(name string) *Server {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return sys.servers[int(h.Sum32())%len(sys.servers)]
-}
-
-// metaServer maps a metadata ring index onto the serving process.
-func (sys *System) metaServer(ringIdx int) *Server {
-	if sys.Cfg.CentralMetadata {
-		return sys.servers[0]
-	}
-	return sys.servers[ringIdx%len(sys.servers)]
-}
-
-// chargeMetaOp charges the cost of one metadata record operation from a
-// process on fromNode against the given server: transport latency (shared
-// memory when co-located, network otherwise) plus the serialized server
-// processing.
-func (sys *System) chargeMetaOp(p *sim.Proc, fromNode int, srv *Server) {
-	sys.stats.MetaOps++
-	sp := sys.W.Trace.Begin(p, trace.CatMeta, "meta-op")
-	sys.chargeOp(p, fromNode, srv, sys.Cfg.MetaOpTime)
-	sp.End(p.Now())
 }
 
 // chargeOpenOp charges a file open/close request — heavier server work
@@ -679,9 +593,21 @@ func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 		sys.WF.EndFlush(r.P, fs.name)
 	}
 	req.done.Set()
+	sys.sweep("flush-complete")
+}
+
+// sweep runs the InvariantCheck hook, when set, at a state transition.
+func (sys *System) sweep(stage string) {
 	if sys.InvariantCheck != nil {
-		sys.InvariantCheck("flush-complete")
+		sys.InvariantCheck(stage)
 	}
+}
+
+// logEvent records a fault or membership change in the explain log and
+// sweeps invariants at that instant.
+func (sys *System) logEvent(stage, format string, args ...any) {
+	sys.explain = append(sys.explain, fmt.Sprintf(format, args...))
+	sys.sweep(stage)
 }
 
 // Explain returns the deployment decision log: human-readable lines

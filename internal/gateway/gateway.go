@@ -100,7 +100,7 @@ type Config struct {
 	StatCostBytes int64
 
 	// Seed drives every tenant's op mix, think times, and object picks;
-	// tenant streams are derived by splitmix64 so runs are deterministic
+	// tenant streams are derived by sim.StreamSeed so runs are deterministic
 	// and tenants decorrelated.
 	Seed int64
 }
@@ -221,24 +221,6 @@ type Gateway struct {
 	runErr  error
 }
 
-// splitmix64 is the splitmix64 finalizer (the seeding construction the
-// checkpoint kernel and the metaplane hash ring use).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// tenantSeed derives tenant t's RNG stream from the run seed: finalize
-// the seed, then derive the per-tenant stream from the mixed state.
-func tenantSeed(seed int64, t int) int64 {
-	const golden = 0x9E3779B97F4A7C15
-	return int64(splitmix64(splitmix64(uint64(seed)) + uint64(t)*golden))
-}
-
 // Start validates the config, creates the per-tenant admission state, and
 // launches every tenant application plus a janitor that shuts the system
 // down when the last tenant exits. The caller runs the engine (after
@@ -260,7 +242,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 	nodes := len(sys.W.Cluster.Nodes)
 	heavy := int(cfg.HeavyFrac*float64(cfg.Tenants) + 0.5)
 	for i := 0; i < cfg.Tenants; i++ {
-		t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(tenantSeed(cfg.Seed, i)))}
+		t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(sim.StreamSeed(cfg.Seed, i)))}
 		if i < heavy {
 			t.load = cfg.HeavyFactor
 		}

@@ -17,6 +17,7 @@ package meta
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Tier enumerates the storage layers, ordered fastest to slowest. The
@@ -57,6 +58,25 @@ func (t Tier) String() string {
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
 	}
+}
+
+// ParseCacheTiers parses a comma-separated cache-tier list of dram, ssd,
+// bb and object tokens, in order. Empty tokens are skipped, so "" is the
+// empty chain (straight to the PFS).
+func ParseCacheTiers(s string) ([]Tier, error) {
+	names := map[string]Tier{"dram": TierDRAM, "ssd": TierLocalSSD, "bb": TierBB, "object": TierObject}
+	var out []Tier
+	for _, tok := range strings.Split(s, ",") {
+		if tok = strings.TrimSpace(tok); tok == "" {
+			continue
+		}
+		t, ok := names[tok]
+		if !ok {
+			return nil, fmt.Errorf("unknown tier %q", tok)
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // Shared reports whether logs on this tier are globally visible to every

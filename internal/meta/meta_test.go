@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -237,5 +238,19 @@ func TestCoalesceAndSortedServers(t *testing.T) {
 	servers := SortedServers(parts)
 	if len(servers) != 3 || servers[0] != 0 || servers[2] != 2 {
 		t.Errorf("SortedServers = %v", servers)
+	}
+}
+
+func TestParseCacheTiers(t *testing.T) {
+	got, err := ParseCacheTiers(" dram, ssd,bb,object,")
+	want := []Tier{TierDRAM, TierLocalSSD, TierBB, TierObject}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseCacheTiers = %v, %v; want %v", got, err, want)
+	}
+	if got, err := ParseCacheTiers(""); err != nil || got != nil {
+		t.Errorf("empty list = %v, %v; want nil, nil", got, err)
+	}
+	if _, err := ParseCacheTiers("dram,tape"); err == nil || err.Error() != `unknown tier "tape"` {
+		t.Errorf("unknown token error = %v", err)
 	}
 }

@@ -148,14 +148,14 @@ type Plane struct {
 	retiredOps, retiredAppended int64
 	retiredSnapshots            int64
 
-	splits, splitRecords  int64
-	splitBytes            int64
-	doubleApplies         int64
-	leaseGrants           int64
-	leaseRevocations      int64
-	followerReads         int64
-	forwardedReads        int64
-	staleServes           int64 // must stay 0: serves on an expired/revoked lease
+	splits, splitRecords int64
+	splitBytes           int64
+	doubleApplies        int64
+	leaseGrants          int64
+	leaseRevocations     int64
+	followerReads        int64
+	forwardedReads       int64
+	staleServes          int64 // must stay 0: serves on an expired/revoked lease
 
 	latPut, latDelete, latStat []float64
 	sampleShards               []int

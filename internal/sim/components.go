@@ -38,7 +38,7 @@ type component struct {
 	// resources currently owned by this component (r.comp == c); rebuilt
 	// from the touched set on every solve.
 	resources []*Resource
-	dirty bool // queued in flowSet.dirtyComps
+	dirty     bool // queued in flowSet.dirtyComps
 	// needSplit marks that flows finished since the last solve, so the
 	// component may have disconnected and should be re-partitioned.
 	// Splitting is pure optimization — water-filling a disconnected

@@ -160,7 +160,7 @@ type Tracer interface {
 	// resource after a rate recomputation; a resource whose last flow
 	// retired is reported once with rate 0.
 	ResourceSample(t Time, r *Resource, rate float64)
-	// Instant reports a free-form instant event (the Tracef shim).
+	// Instant reports a free-form instant event.
 	Instant(t Time, category, name string)
 }
 
@@ -215,14 +215,6 @@ func (e *Engine) Workers() int { return e.workers }
 // SetTracer attaches the instrumentation sink. Passing nil disables
 // tracing; a disabled engine pays one nil check per potential event.
 func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
-
-// Tracef is the legacy printf-style trace hook, kept as a compat shim: the
-// formatted line is recorded as an instant event on the attached tracer.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer.Instant(e.now, "sim", fmt.Sprintf(format, args...))
-	}
-}
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 func (e *Engine) At(t Time, fn func()) {
@@ -327,13 +319,6 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	p.resumeAt(p.e.now + Time(d))
-	p.park()
-}
-
-// Yield lets every other event scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() {
-	p.resumeAt(p.e.now)
 	p.park()
 }
 

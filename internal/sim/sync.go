@@ -43,17 +43,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 	return v
 }
 
-// TryRecv dequeues the oldest message without blocking. It returns false if
-// the mailbox is empty.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
-}
-
 // WaitGroup counts outstanding pieces of simulated work, like sync.WaitGroup
 // but mediated by the engine.
 type WaitGroup struct {
@@ -170,9 +159,6 @@ func (ev *Event) Set() {
 	}
 	ev.waiters = nil
 }
-
-// IsSet reports whether the event has fired.
-func (ev *Event) IsSet() bool { return ev.set }
 
 // Wait blocks p until the event is set.
 func (ev *Event) Wait(p *Proc) {

@@ -50,8 +50,6 @@ const (
 	CatChaos Category = "chaos"
 	// CatGateway: multi-tenant gateway operations (admission, tenant ops).
 	CatGateway Category = "gateway"
-	// CatSim: engine-level diagnostics (the Tracef compat shim).
-	CatSim Category = "sim"
 )
 
 // TierCategory returns the category of a storage layer, e.g. "tier:DRAM".
@@ -282,8 +280,7 @@ func (r *Recorder) Mark(p *sim.Proc, cat Category, name string) {
 // engineTrack is the synthetic track engine-level instants land on.
 const engineTrack = "engine"
 
-// Instant records an engine-level instant event (sim.Tracer hook; also the
-// sink of the Engine.Tracef compat shim).
+// Instant records an engine-level instant event (sim.Tracer hook).
 func (r *Recorder) Instant(t sim.Time, cat, name string) {
 	if r == nil {
 		return
