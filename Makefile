@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-diffcheck check bench bench-perf chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+.PHONY: all build fmt vet test race race-diffcheck perfbench-test check bench chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 all: check
 
@@ -20,8 +20,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full CI gate: compile, static checks, race-enabled tests, chaos gates.
-check: build fmt vet race chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+# The benchmark's own tests. perfbench/ is a nested module built against
+# this module's API, so the root `go test ./...` never compiles it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+# The full CI gate: compile, static checks, race-enabled tests, the
+# benchmark's tests, chaos gates.
+check: build fmt vet race perfbench-test chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.
@@ -93,13 +99,6 @@ split-smoke:
 # Quick paper-figure benchmark sweep.
 bench:
 	$(GO) run ./cmd/univibench -quick -all
-
-# Wall-clock comparison of the incremental vs global flow allocator over
-# the quick figure sweeps, written to univibench's default -out path.
-# Override the output with PERF_OUT=path.
-PERF_OUT ?=
-bench-perf:
-	$(GO) run ./cmd/univibench -quick -perf $(if $(PERF_OUT),-out $(PERF_OUT))
 
 # Race-enabled sim + chaos tests with the differential-check oracle armed,
 # so the concurrent solver is exercised against the reference allocator.

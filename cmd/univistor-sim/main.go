@@ -123,7 +123,6 @@ func main() {
 		gwSeed  = flag.Int64("gw-seed", 1, "gateway: workload seed")
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) to this path")
 		chaosIn = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
-		alloc   = flag.String("alloc", "", "flow allocator: incremental (default) | global (also settable via UNIVISTOR_SIM_ALLOC)")
 		workers = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
 	)
 	flag.Parse()
@@ -181,15 +180,6 @@ func main() {
 	}
 
 	e := sim.NewEngine()
-	switch *alloc {
-	case "":
-	case "incremental":
-		e.SetAllocMode(sim.AllocIncremental)
-	case "global":
-		e.SetAllocMode(sim.AllocGlobal)
-	default:
-		fatal("unknown allocator %q (want incremental or global)", *alloc)
-	}
 	if *workers > 0 {
 		e.SetWorkers(*workers)
 	}

@@ -189,3 +189,36 @@ func (w *testWriter) Write(p []byte) (int, error) {
 	*w = append(*w, p...)
 	return len(p), nil
 }
+
+// The figures outside All() — the metadata-plane, dedup, gateway-tail and
+// online-split studies — are reachable only through ByID. Each must run at
+// the quick preset, carry its own id and plot its full series set.
+func TestByIDExtraFigures(t *testing.T) {
+	cases := []struct {
+		id     string
+		series int // 0 = at least one
+	}{
+		{"figmeta", 0},
+		{"figdedup", 4},
+		{"figtail", 6},
+		{"figsplit", 4},
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			f, ok := ByID(c.id)
+			if !ok {
+				t.Fatalf("ByID(%q) not found", c.id)
+			}
+			r := f(QuickOptions())
+			if r == nil || r.ID != c.id {
+				t.Fatalf("ByID(%q) returned %+v", c.id, r)
+			}
+			if c.series == 0 && len(r.Series) == 0 {
+				t.Fatalf("%s: no series", c.id)
+			}
+			if c.series > 0 && len(r.Series) != c.series {
+				t.Fatalf("%s: %d series, want %d", c.id, len(r.Series), c.series)
+			}
+		})
+	}
+}

@@ -353,6 +353,10 @@ type flushReq struct {
 	// physFrac scales each leg's moved bytes: with dedup, the fraction of
 	// the flushed image without an existing physical copy (1 otherwise).
 	physFrac float64
+	// total is the logical bytes the flush plan covers, fixed when the
+	// flush is triggered: a range delete landing while the flush is in
+	// flight lowers the file's cached bytes but not what this flush moves.
+	total int64
 	// done is this flush's completion event (fresh per flush; the last
 	// finishing server sets it).
 	done *sim.Event
@@ -480,7 +484,7 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 			length++
 		}
 		req := &flushReq{fs: fs, rangeOff: off, rangeLen: length,
-			tierBytes: fs.cached[idx], physFrac: physFrac, done: fs.flushEv}
+			tierBytes: fs.cached[idx], physFrac: physFrac, total: total, done: fs.flushEv}
 		// Record where each of this server's segments lands inside its
 		// range, so degraded reads (producer node failed after the flush)
 		// address the real flushed copy. Segments laid out back to back;
@@ -580,8 +584,8 @@ func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 	fs.flushing = false
 	fs.flushed = true
 	fs.flushEnd = r.P.Now()
-	fs.flushedBytes = fs.cachedTotal
-	sys.stats.BytesFlushed += fs.cachedTotal
+	fs.flushedBytes = req.total
+	sys.stats.BytesFlushed += req.total
 	sys.stats.Flushes++
 	// The flush persists the data; the cached copies REMAIN valid (the
 	// logs are a cache, not a buffer — post-flush reads still hit the fast

@@ -29,17 +29,10 @@ const (
 	AllocIncremental AllocMode = iota
 	// AllocGlobal keeps every flow in a single component, so each
 	// transition re-solves the full active set — the historical solver,
-	// kept as the reference baseline for the differential mode, property
-	// tests, and perf comparisons.
+	// kept only as the reference the differential mode and the property
+	// tests compare against.
 	AllocGlobal
 )
-
-func (m AllocMode) String() string {
-	if m == AllocGlobal {
-		return "global"
-	}
-	return "incremental"
-}
 
 // AllocStats are cumulative allocator counters, exposed for benchmarks,
 // tracing, and tests.
@@ -211,7 +204,7 @@ func getRate(f *flow, ref bool) float64 {
 // allocateRef is the reference max-min fair (water-filling) solver — the
 // historical global implementation, kept verbatim (map-keyed resource
 // states, container/heap). It serves two roles: the live solver in
-// AllocGlobal mode (the baseline the perf mode compares against) and the
+// AllocGlobal mode (which the property tests compare against) and the
 // independent oracle of the differential check. Flows must be in
 // ascending flow.seq order. Bottleneck selection uses a lazy min-heap of
 // fair shares, so a solve costs O(E log R) in the total flow-resource

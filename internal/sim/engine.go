@@ -176,18 +176,15 @@ func workersConfig(v string) int {
 }
 
 // NewEngine returns an empty simulation at virtual time zero. The
-// allocator runs in incremental (component-based) mode unless
-// UNIVISTOR_SIM_ALLOC=global is set; UNIVISTOR_SIM_DIFFCHECK enables the
-// differential self-check (see SetDifferentialCheck). Dirty-component
+// allocator runs in incremental (component-based) mode;
+// UNIVISTOR_SIM_DIFFCHECK enables the differential self-check (see
+// SetDifferentialCheck). Dirty-component
 // batches are solved on up to runtime.NumCPU() workers (overridable via
 // UNIVISTOR_SIM_WORKERS or SetWorkers) — results are identical at any
 // worker count.
 func NewEngine() *Engine {
 	e := &Engine{idle: make(chan struct{}), workers: defaultWorkers}
 	e.flows.e = e
-	if os.Getenv("UNIVISTOR_SIM_ALLOC") == "global" {
-		e.flows.mode = AllocGlobal
-	}
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
 	}
@@ -208,9 +205,6 @@ func (e *Engine) SetWorkers(n int) {
 	}
 	e.workers = n
 }
-
-// Workers returns the configured solver worker cap.
-func (e *Engine) Workers() int { return e.workers }
 
 // SetTracer attaches the instrumentation sink. Passing nil disables
 // tracing; a disabled engine pays one nil check per potential event.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"univistor/internal/core"
+	"univistor/internal/meta"
 	"univistor/internal/mpi"
 	"univistor/internal/mpiio"
 	"univistor/internal/schedule"
@@ -12,8 +13,9 @@ import (
 )
 
 // dedupStack is testStack with the content-addressed flush layer enabled:
-// 1 MiB blocks so checkpoint segments map 1:1 onto CAS blocks.
-func dedupStack(t *testing.T) (*mpi.World, *mpiio.Env, *mpiio.UniviStorDriver) {
+// 1 MiB blocks so checkpoint segments map 1:1 onto CAS blocks. mutate, when
+// set, adjusts the configuration before the system is built.
+func dedupStack(t *testing.T, mutate func(*topology.Config, *core.Config)) (*mpi.World, *mpiio.Env, *mpiio.UniviStorDriver) {
 	t.Helper()
 	tc := topology.Cori()
 	tc.Nodes = 2
@@ -24,13 +26,16 @@ func dedupStack(t *testing.T) (*mpi.World, *mpiio.Env, *mpiio.UniviStorDriver) {
 	tc.BBStripeSize = 1 * mib
 	tc.OSTs = 8
 	e := sim.NewEngine()
-	w := mpi.NewWorld(e, topology.New(e, tc), schedule.InterferenceAware)
 	cc := core.DefaultConfig()
 	cc.ChunkSize = 1 * mib
 	cc.MetaRangeSize = 16 * mib
 	cc.Dedup = true
 	cc.DedupBlockBytes = 1 * mib
 	cc.DedupGCBatchBytes = 8 * mib
+	if mutate != nil {
+		mutate(&tc, &cc)
+	}
+	w := mpi.NewWorld(e, topology.New(e, tc), schedule.InterferenceAware)
 	sys, err := core.NewSystem(w, cc)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +53,7 @@ func dedupStack(t *testing.T) (*mpi.World, *mpiio.Env, *mpiio.UniviStorDriver) {
 // the acceptance bound is physical ≤ 50% of logical, and the deterministic
 // expectation is far lower (step 0 full + ~10% per later step).
 func TestCheckpointDedup(t *testing.T) {
-	w, env, drv := dedupStack(t)
+	w, env, drv := dedupStack(t, nil)
 	cfg := CheckpointConfig{
 		SegmentsPerRank: 8,
 		SegmentBytes:    1 * mib,
@@ -98,7 +103,7 @@ func TestCheckpointDedup(t *testing.T) {
 // blocks actually flow through the ref-counted GC: reclaim runs happen,
 // every retired byte is collected, and nothing is left pending.
 func TestCheckpointRetentionGC(t *testing.T) {
-	w, env, drv := dedupStack(t)
+	w, env, drv := dedupStack(t, nil)
 	cfg := CheckpointConfig{
 		SegmentsPerRank: 4,
 		SegmentBytes:    1 * mib,
@@ -137,6 +142,52 @@ func TestCheckpointRetentionGC(t *testing.T) {
 		t.Errorf("%d dead bytes left pending after run", cs.DeadBytes)
 	}
 	if viol := drv.Sys.CheckInvariants(); len(viol) > 0 {
+		t.Errorf("invariants violated: %v", viol)
+	}
+}
+
+// TestCheckpointFlushAccountsPlannedBytes runs back-to-back checkpoints (no
+// compute phase) with retention, so step s-2's range deletes land while
+// step s's flush is still in flight. The flush must still count the full
+// image it planned: BytesFlushed is every step's logical bytes and agrees
+// with what the dedup layer interned and deduped at plan time.
+func TestCheckpointFlushAccountsPlannedBytes(t *testing.T) {
+	const ranks, perNode = 16, 8
+	cfg := CheckpointConfig{
+		SegmentsPerRank: 4,
+		SegmentBytes:    4 * mib,
+		TimeSteps:       4,
+		ChangeRate:      0.10,
+		Seed:            1,
+		Retention:       2,
+	}
+	w, env, drv := dedupStack(t, func(tc *topology.Config, cc *core.Config) {
+		cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
+		cc.DedupBlockBytes = cfg.SegmentBytes
+		cc.MetaShards = 3
+		cc.MetaReplicas = 3
+	})
+	app := w.Launch("ckpt", ranks, func(r *mpi.Rank) {
+		if _, err := RunCheckpoint(r, env, cfg); err != nil {
+			t.Errorf("rank %d: %v", r.Rank(), err)
+		}
+	}, mpi.LaunchOpts{RanksPerNode: perNode})
+	runAll(t, w, drv, app)
+
+	sys := drv.Sys
+	s := sys.Stats()
+	logical := int64(ranks*cfg.TimeSteps) * cfg.BytesPerRankStep()
+	if s.BytesFlushed != logical {
+		t.Errorf("BytesFlushed = %d, want every step's logical image %d", s.BytesFlushed, logical)
+	}
+	cs := sys.CASStats()
+	if cs == nil {
+		t.Fatal("CASStats nil with dedup enabled")
+	}
+	if got := cs.InternedBytes + cs.DedupedBytes; got != s.BytesFlushed {
+		t.Errorf("CAS interned+deduped = %d, BytesFlushed = %d", got, s.BytesFlushed)
+	}
+	if viol := sys.CheckInvariants(); len(viol) > 0 {
 		t.Errorf("invariants violated: %v", viol)
 	}
 }
