@@ -126,40 +126,40 @@ func main() {
 		workers = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
 	)
 	flag.Parse()
-	if *metaReplicas > 1 && *metaShards == 0 {
-		fatal("-meta-replicas requires -meta-shards")
-	}
-	if *metaFollowerReads && *metaShards == 0 {
-		fatal("-meta-follower-reads requires -meta-shards")
-	}
-	if *metaLease > 0 && !*metaFollowerReads {
-		fatal("-meta-lease requires -meta-follower-reads")
+	// Flags only some modes read: setting one outside its mode is an
+	// error, not a silently ignored option.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, need := range []struct {
+		ok    bool
+		mode  string
+		flags []string
+	}{
+		{*driver == "univistor", "-driver univistor", []string{"chaos", "meta-shards", "tiers", "no-coc",
+			"no-adpt", "meta-split", "dedup", "gateway"}},
+		{*metaShards > 0, "-meta-shards", []string{"meta-replicas", "meta-follower-reads", "meta-split"}},
+		{*metaFollowerReads, "-meta-follower-reads", []string{"meta-lease"}},
+		{*dedup, "-dedup", []string{"dedup-block-mb"}},
+		{*ckptSteps > 0, "-ckpt", []string{"ckpt-change", "ckpt-retain", "ckpt-seed"}},
+		{*gwMode, "-gateway", []string{"tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds",
+			"gw-kb", "gw-seed"}},
+	} {
+		for _, name := range need.flags {
+			if set[name] && !need.ok {
+				fatal("-%s requires %s", name, need.mode)
+			}
+		}
 	}
 	var splitSched []splitEvent
 	if *metaSplit != "" {
-		if *metaShards == 0 || *driver != "univistor" {
-			fatal("-meta-split requires -meta-shards and -driver univistor")
-		}
 		var err error
 		splitSched, err = parseSplitSchedule(*metaSplit)
 		if err != nil {
 			fatal("%v", err)
 		}
 	}
-	if *dedup && *driver != "univistor" {
-		fatal("-dedup requires -driver univistor")
-	}
-	if *dedupBlockMB > 0 && !*dedup {
-		fatal("-dedup-block-mb requires -dedup")
-	}
 	if *ckptSteps > 0 && *doRead {
 		fatal("-read is not supported with -ckpt (the checkpoint kernel is write-only)")
-	}
-	if *gwMode && *driver != "univistor" {
-		fatal("-gateway requires -driver univistor")
-	}
-	if !*gwMode && (*qos || *gwOps > 0 || *gwRate > 0 || *gwSecs > 0 || *gwKiB > 0) {
-		fatal("-qos and -gw-* flags require -gateway")
 	}
 	if *gwMode && (*ckptSteps > 0 || *doRead || *doFlush) {
 		fatal("-gateway drives its own workload; drop -ckpt/-read/-flush")

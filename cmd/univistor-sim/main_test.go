@@ -81,3 +81,56 @@ func TestGatewayRejectsDedup(t *testing.T) {
 		t.Errorf("usage error wrote to stdout: %q", stdout.String())
 	}
 }
+
+// A flag that the chosen mode never reads is a usage error. Each case sets
+// the flag explicitly (at its default value where that is possible, so
+// detection cannot rest on comparing values) outside the mode it needs.
+func TestRejectsFlagsOutsideTheirMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildSim(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-driver", "lustre", "-chaos", "seed=1,crash=0@0.1"}, "-chaos requires -driver univistor"},
+		{[]string{"-driver", "dataelevator", "-chaos", "seed=1"}, "-chaos requires -driver univistor"},
+		{[]string{"-driver", "lustre", "-meta-shards", "3"}, "-meta-shards requires -driver univistor"},
+		{[]string{"-driver", "dataelevator", "-tiers", "dram,bb"}, "-tiers requires -driver univistor"},
+		{[]string{"-driver", "lustre", "-no-coc"}, "-no-coc requires -driver univistor"},
+		{[]string{"-driver", "dataelevator", "-no-adpt"}, "-no-adpt requires -driver univistor"},
+		{[]string{"-driver", "lustre", "-dedup"}, "-dedup requires -driver univistor"},
+		{[]string{"-driver", "lustre", "-gateway"}, "-gateway requires -driver univistor"},
+		{[]string{"-meta-replicas", "3"}, "-meta-replicas requires -meta-shards"},
+		{[]string{"-meta-split", "1@0.1"}, "-meta-split requires -meta-shards"},
+		{[]string{"-meta-shards", "2", "-meta-lease", "0.1"}, "-meta-lease requires -meta-follower-reads"},
+		{[]string{"-dedup-block-mb", "4"}, "-dedup-block-mb requires -dedup"},
+		{[]string{"-ckpt-change", "0.1"}, "-ckpt-change requires -ckpt"},
+		{[]string{"-ckpt-retain", "2"}, "-ckpt-retain requires -ckpt"},
+		{[]string{"-ckpt-seed", "1"}, "-ckpt-seed requires -ckpt"},
+		{[]string{"-tenants", "64"}, "-tenants requires -gateway"},
+		{[]string{"-zipf", "1.2"}, "-zipf requires -gateway"},
+		{[]string{"-gw-seed", "1"}, "-gw-seed requires -gateway"},
+		{[]string{"-qos"}, "-qos requires -gateway"},
+		{[]string{"-gw-arrival", "5"}, "-gw-arrival requires -gateway"},
+	} {
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Env = os.Environ()
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("univistor-sim %v: err = %v, want exit status 1", tc.args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("univistor-sim %v: stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("univistor-sim %v: usage error wrote to stdout: %q", tc.args, stdout.String())
+		}
+	}
+}

@@ -113,6 +113,9 @@ func main() {
 	fmt.Printf("wrote %s (%d events, %d flows) — open it at ui.perfetto.dev\n\n",
 		*out, rec.Events(), rec.Flows())
 	rec.Summarize(12).Format(os.Stdout)
+	a := e.AllocStats()
+	fmt.Printf("allocator: %d batches, %d component solves (%d flows), %d merges, %d splits, peak %d components, %d parked\n",
+		a.Recomputes, a.ComponentsSolved, a.FlowsSolved, a.Merges, a.Splits, a.PeakComponents, a.ParkedFlows)
 }
 
 // runCheck validates an exported trace file and prints what it found.

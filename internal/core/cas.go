@@ -114,10 +114,23 @@ func (sys *System) casPlanFlush(p *sim.Proc, fs *fileState, recs []meta.Record) 
 	phys := sys.cas.UpdateFile(fs.name, blocks)
 	sys.stats.BytesFlushedPhysical += phys
 	sys.stats.DedupBytesSaved += fs.cachedTotal - phys
-	sys.casLogical += fs.cachedTotal
 	sp.End(p.Now())
-	sys.W.Trace.CASSample(p.Now(), sys.casLogical, sys.stats.BytesFlushedPhysical, sys.cas.PendingBytes())
+	sys.sampleCAS(p.Now())
 	return phys
+}
+
+// sampleCAS records the dedup layer's counter stream: the cumulative
+// logical bytes presented to flush against the physical bytes moved, and
+// the dead bytes awaiting GC.
+func (sys *System) sampleCAS(t sim.Time) {
+	if !sys.W.Trace.Enabled() {
+		return
+	}
+	st := &sys.stats
+	sys.W.Trace.Counters(t, trace.StreamCAS,
+		trace.Value{Name: "cas.logical_bytes", Key: trace.KeyCumulative, V: st.BytesFlushedPhysical + st.DedupBytesSaved},
+		trace.Value{Name: "cas.physical_bytes", Key: trace.KeyCumulative, V: st.BytesFlushedPhysical},
+		trace.Value{Name: "cas.dead_bytes", Key: trace.KeyPending, V: sys.cas.PendingBytes()})
 }
 
 // casDeleteRange releases the flushed blocks lying entirely inside the
@@ -169,7 +182,7 @@ func (sys *System) casGCRun(p *sim.Proc) {
 		sp.End(p.Now())
 		sys.stats.CASGCRuns++
 		sys.stats.CASGCBytes += bytes
-		sys.W.Trace.CASSample(p.Now(), sys.casLogical, sys.stats.BytesFlushedPhysical, sys.cas.PendingBytes())
+		sys.sampleCAS(p.Now())
 	}
 }
 

@@ -167,10 +167,7 @@ func newPlaneMeta(sys *System) (*planeMeta, error) {
 		sys.logEvent("metasplitdone", "metasplit: shard %d migration complete; ring now %d shards",
 			shard, pl.Shards())
 	}
-	if w.Trace.Enabled() {
-		pl.Sampler = w.Trace.MetaSample
-		pl.LeaseSampler = w.Trace.LeaseSample
-	}
+	pl.Trace = w.Trace
 	sys.explain = append(sys.explain, fmt.Sprintf(
 		"metadata plane: %d shards × %d replicas across %d nodes",
 		cfg.MetaShards, replicas, nNodes))

@@ -58,12 +58,10 @@ type System struct {
 	// cas, when non-nil, is the content-addressed dedup block store on the
 	// flush path (Cfg.Dedup). casGCFile is the PFS scratch file the GC's
 	// collection flows charge; casGCBusy guards the single background
-	// collector; casLogical accumulates the logical bytes presented to
-	// dedup planning (the counter track's logical axis).
-	cas        *castore.Store
-	casGCFile  *lustre.File
-	casGCBusy  bool
-	casLogical int64
+	// collector.
+	cas       *castore.Store
+	casGCFile *lustre.File
+	casGCBusy bool
 
 	// writeOps counts completed WriteAt calls; onWrite (when set) observes
 	// each one — the trigger for write-count-scheduled fault injection.

@@ -9,18 +9,22 @@ package metaplane
 // leader crashes and whenever a split arc's transfer window opens on the
 // group; during such a window (frozen) no new lease is granted and reads
 // forward to the leader.
-import "univistor/internal/sim"
+import (
+	"univistor/internal/sim"
+	"univistor/internal/trace"
+)
 
-// LeaseSampler observes the cumulative lease/split counters after every
-// follower read and migration batch — the tracer's lease counter track
-// attaches here.
-type LeaseSampler func(t sim.Time, grants, followerReads, forwardedReads, splitRecords int64)
-
+// sampleLease records the cumulative lease and split counters on the
+// trace.
 func (pl *Plane) sampleLease(t sim.Time) {
-	if pl.LeaseSampler == nil {
+	if !pl.Trace.Enabled() {
 		return
 	}
-	pl.LeaseSampler(t, pl.leaseGrants, pl.followerReads, pl.forwardedReads, pl.splitRecords)
+	pl.Trace.Counters(t, trace.StreamMetaLease,
+		trace.Value{Name: "meta.lease_grants", Key: trace.KeyCumulative, V: pl.leaseGrants},
+		trace.Value{Name: "meta.follower_reads", Key: trace.KeyCumulative, V: pl.followerReads},
+		trace.Value{Name: "meta.forwarded_reads", Key: trace.KeyCumulative, V: pl.forwardedReads},
+		trace.Value{Name: "meta.split_records", Key: trace.KeyCumulative, V: pl.splitRecords})
 }
 
 // revokeLeases invalidates every outstanding lease on g by bumping the

@@ -5,6 +5,7 @@ import (
 
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 // With FollowerReads off (the default) no lease machinery may engage.
@@ -152,27 +153,32 @@ func TestLeasesFrozenDuringSplitWindow(t *testing.T) {
 	}
 }
 
-// The lease sampler hook observes monotone cumulative counters.
+// The lease counter stream's final values are the plane's own counters.
 func TestLeaseSamplerObservesCounters(t *testing.T) {
 	cfg := testConfig(1, 3)
 	cfg.FollowerReads = true
 	pl := mustPlane(t, cfg)
-	var calls int
-	var lastG, lastF int64
-	pl.LeaseSampler = func(tm sim.Time, grants, follower, forwarded, splitRecs int64) {
-		calls++
-		if grants < lastG || follower < lastF {
-			t.Errorf("lease counters went backwards")
-		}
-		lastG, lastF = grants, follower
-	}
+	pl.Trace = trace.New()
 	drive(t, func(p *sim.Proc) {
 		pl.Put(p, 0, rec(1, 0, 256))
 		for i := 0; i < 30; i++ {
 			pl.Stat(p, i%cfg.Nodes, 1, 0)
 		}
 	})
-	if calls == 0 || lastF == 0 {
-		t.Fatalf("sampler saw %d calls, %d follower reads", calls, lastF)
+	final, _ := finalCounters(pl.Trace)
+	st := pl.Stats()
+	for name, want := range map[string]int64{
+		"meta.shard0.ops":      st.PerShard[0].Ops,
+		"meta.lease_grants":    st.LeaseGrants,
+		"meta.follower_reads":  st.FollowerReads,
+		"meta.forwarded_reads": st.ForwardedReads,
+		"meta.split_records":   st.SplitRecords,
+	} {
+		if got, ok := final[name]; !ok || got != want {
+			t.Errorf("%s = %d (recorded %v), want %d", name, got, ok, want)
+		}
+	}
+	if st.FollowerReads == 0 {
+		t.Fatal("no follower reads served")
 	}
 }

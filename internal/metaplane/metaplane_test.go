@@ -9,6 +9,7 @@ import (
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 func testConfig(shards, replicas int) Config {
@@ -425,29 +426,37 @@ func TestReplicationCostsTime(t *testing.T) {
 	}
 }
 
+// finalCounters maps each counter track the recorder digested to its
+// final value and reading count.
+func finalCounters(rec *trace.Recorder) (final map[string]int64, samples map[string]int) {
+	final, samples = map[string]int64{}, map[string]int{}
+	for _, c := range rec.Summarize(0).Counters {
+		final[c.Name], samples[c.Name] = c.Final, c.Samples
+	}
+	return final, samples
+}
+
 func TestSamplerObservesPerShardOps(t *testing.T) {
 	cfg := testConfig(2, 1)
 	pl := mustPlane(t, cfg)
-	var calls int
-	var last []int64
-	pl.Sampler = func(t sim.Time, shards []int, ops []int64) {
-		calls++
-		last = append(last[:0], ops...)
-	}
+	pl.Trace = trace.New()
 	drive(t, func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			pl.Put(p, 0, rec(1, int64(i)*1024, 1024))
 		}
 	})
-	if calls != 40 {
-		t.Fatalf("sampler saw %d calls, want 40", calls)
-	}
+	final, samples := finalCounters(pl.Trace)
+	st := pl.Stats()
 	sum := int64(0)
-	for _, c := range last {
-		sum += c
+	for _, sh := range st.PerShard {
+		name := fmt.Sprintf("meta.shard%d.ops", sh.Shard)
+		if final[name] != sh.Ops || samples[name] != 40 {
+			t.Errorf("%s = %d over %d readings, want %d over 40", name, final[name], samples[name], sh.Ops)
+		}
+		sum += final[name]
 	}
 	if sum != 40 {
-		t.Fatalf("final cumulative ops %d, want 40 (%v)", sum, last)
+		t.Fatalf("final cumulative ops %d, want 40 (%v)", sum, final)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 // DefaultSnapshotEvery is the retained-WAL-entry threshold at which a
@@ -106,12 +107,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Sampler observes the cumulative per-shard op counts after each charged
-// operation — the hook the tracer's per-shard counter track attaches to.
-// shards and ops are parallel slices ordered by shard id; the slices are
-// reused across calls and must not be retained.
-type Sampler func(t sim.Time, shards []int, ops []int64)
-
 // Plane is the sharded, replicated metadata service.
 type Plane struct {
 	cfg  Config
@@ -125,8 +120,11 @@ type Plane struct {
 
 	split *splitRun // active online split, nil otherwise
 
-	// Sampler, when set, is called after every charged op.
-	Sampler Sampler
+	// Trace, when set, receives the plane's counter streams: the
+	// cumulative ops per shard after every charged op, and the lease and
+	// split counters after every follower read, forwarded read and
+	// migration batch.
+	Trace *trace.Recorder
 
 	// Mover, when set, charges a split-migration batch as a real transfer
 	// in the caller's flow allocator (source leader node → target leader
@@ -136,11 +134,6 @@ type Plane struct {
 	// SplitDone, when set, is called (at the migrator's current virtual
 	// instant) after an online split finishes installing its ring.
 	SplitDone func(newShard int)
-
-	// LeaseSampler, when set, observes the cumulative lease/split counters
-	// after every follower read and migration batch — the tracer's lease
-	// counter track attaches here.
-	LeaseSampler LeaseSampler
 
 	puts, deletes, lookups      int64
 	failovers, recoveries       int64
@@ -158,8 +151,6 @@ type Plane struct {
 	staleServes          int64 // must stay 0: serves on an expired/revoked lease
 
 	latPut, latDelete, latStat []float64
-	sampleShards               []int
-	sampleOps                  []int64
 }
 
 // New builds a plane of cfg.Shards replication groups, each with
@@ -414,18 +405,18 @@ func (pl *Plane) chargeRead(p *sim.Proc, fromNode int, g *group) sim.Time {
 	return respond - t0
 }
 
-// sample feeds the cumulative per-shard op counts to the Sampler hook.
+// sample records the cumulative per-shard op counts on the trace.
 func (pl *Plane) sample(t sim.Time) {
-	if pl.Sampler == nil {
+	if !pl.Trace.Enabled() {
 		return
 	}
-	pl.sampleShards = pl.sampleShards[:0]
-	pl.sampleOps = pl.sampleOps[:0]
+	var buf [8]trace.Value // Counters copies the values, so they can live on the stack
+	vals := buf[:0]
 	for _, id := range pl.order {
-		pl.sampleShards = append(pl.sampleShards, id)
-		pl.sampleOps = append(pl.sampleOps, pl.groups[id].ops)
+		vals = append(vals, trace.Value{Name: fmt.Sprintf("meta.shard%d.ops", id),
+			Key: trace.KeyCumulative, V: pl.groups[id].ops})
 	}
-	pl.Sampler(t, pl.sampleShards, pl.sampleOps)
+	pl.Trace.Counters(t, trace.StreamMetaOps, vals...)
 }
 
 // ---------------------------------------------------------------------------

@@ -17,16 +17,26 @@ import (
 )
 
 // Process ids of the exported trace: tracks (ranks), resource counters,
-// and fluid flows render as three Perfetto process groups.
+// and fluid flows render as three Perfetto process groups; each counter
+// stream renders under the process and thread streamTracks gives it.
 const (
 	pidTracks    = 1
 	pidResources = 2
 	pidFlows     = 3
-	pidAllocator = 4
-	pidSolver    = 5
-	pidMetaPlane = 6
-	pidCAS       = 7
 )
+
+// streamTracks is each counter stream's Perfetto process and thread, in
+// (pid, tid) order.
+var streamTracks = [numStreams]struct {
+	pid, tid int
+	process  string
+}{
+	StreamAlloc:     {4, 1, "allocator"},
+	StreamSolver:    {5, 1, "solver-pool"},
+	StreamMetaOps:   {6, 1, "metaplane"},
+	StreamMetaLease: {6, 2, "metaplane"},
+	StreamCAS:       {7, 1, "cas"},
+}
 
 // chromeEvent is one entry of the trace-event array.
 type chromeEvent struct {
@@ -52,7 +62,8 @@ type chromeFile struct {
 func usec(t float64) float64 { return t * 1e6 }
 
 // chromeEvents flattens the recording into trace-event entries, in a
-// deterministic order: metadata, then per-track events, flows, counters.
+// deterministic order: metadata, then per-track events, flows, resource
+// counters, and the counter streams in (pid, tid) order.
 func (r *Recorder) chromeEvents() []chromeEvent {
 	var out []chromeEvent
 	meta := func(pid int, name string) {
@@ -62,17 +73,12 @@ func (r *Recorder) chromeEvents() []chromeEvent {
 	meta(pidTracks, "ranks")
 	meta(pidResources, "resources")
 	meta(pidFlows, "flows")
-	if len(r.allocSamples) > 0 {
-		meta(pidAllocator, "allocator")
-	}
-	if len(r.parallelSamples) > 0 {
-		meta(pidSolver, "solver-pool")
-	}
-	if len(r.metaSamples) > 0 || len(r.leaseSamples) > 0 {
-		meta(pidMetaPlane, "metaplane")
-	}
-	if len(r.casSamples) > 0 {
-		meta(pidCAS, "cas")
+	lastPid := 0
+	for s, cs := range r.streams {
+		if id := streamTracks[s]; len(cs.readings) > 0 && id.pid != lastPid {
+			meta(id.pid, id.process)
+			lastPid = id.pid
+		}
 	}
 	for i, tr := range r.tracks {
 		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", Pid: pidTracks,
@@ -120,72 +126,16 @@ func (r *Recorder) chromeEvents() []chromeEvent {
 				Args: map[string]any{"bytes_per_sec": s.rate}})
 		}
 	}
-	for _, s := range r.allocSamples {
-		out = append(out, chromeEvent{Name: "alloc.components", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidAllocator, Tid: 1,
-			Args: map[string]any{"live": s.live}})
-		out = append(out, chromeEvent{Name: "alloc.flows_solved", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidAllocator, Tid: 1,
-			Args: map[string]any{"cumulative": s.stats.FlowsSolved}})
-	}
-	// Metadata-plane telemetry: one cumulative ops counter per shard. Absent
-	// entirely in single-ring runs, so legacy exports are unchanged.
-	for _, s := range r.metaSamples {
-		for i, shard := range s.shards {
-			out = append(out, chromeEvent{Name: fmt.Sprintf("meta.shard%d.ops", shard), Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidMetaPlane, Tid: 1,
-				Args: map[string]any{"cumulative": s.ops[i]}})
-		}
-	}
-	// Lease/split telemetry: cumulative grant, follower-read, and migration
-	// counters on a second metaplane thread. Absent entirely with
-	// leader-only reads and no splits, so legacy exports are unchanged.
-	for _, s := range r.leaseSamples {
-		args := []struct {
-			name string
-			v    int64
-		}{
-			{"meta.lease_grants", s.grants},
-			{"meta.follower_reads", s.follower},
-			{"meta.forwarded_reads", s.forwarded},
-			{"meta.split_records", s.splitRecords},
-		}
-		for _, a := range args {
-			out = append(out, chromeEvent{Name: a.name, Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidMetaPlane, Tid: 2,
-				Args: map[string]any{"cumulative": a.v}})
-		}
-	}
-	// Content-addressed store telemetry: cumulative logical vs physical
-	// flush bytes and the dead bytes awaiting GC. Absent entirely without
-	// dedup, so legacy exports are unchanged.
-	for _, s := range r.casSamples {
-		out = append(out, chromeEvent{Name: "cas.logical_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"cumulative": s.logical}})
-		out = append(out, chromeEvent{Name: "cas.physical_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"cumulative": s.physical}})
-		out = append(out, chromeEvent{Name: "cas.dead_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"pending": s.dead}})
-	}
-	// Worker-pool telemetry: the batch fan-out timeline plus one cumulative
-	// task counter per worker slot. Absent entirely in serial runs, so
-	// serial exports are unchanged.
-	cum := make([]int64, 0, 8)
-	for _, s := range r.parallelSamples {
-		out = append(out, chromeEvent{Name: "solver.batch", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidSolver, Tid: 1,
-			Args: map[string]any{"workers": s.workers, "components": s.components, "flows": s.flows}})
-		for i, n := range s.perWorker {
-			for len(cum) <= i {
-				cum = append(cum, 0)
+	// Counter streams, each absent entirely until its subsystem records,
+	// so runs without a plane, dedup or a parallel batch export as before.
+	for s := range r.streams {
+		cs, id := &r.streams[s], streamTracks[s]
+		for i, rd := range cs.readings {
+			for _, v := range cs.values(i) {
+				out = append(out, chromeEvent{Name: v.Name, Ph: "C",
+					Ts: usec(float64(rd.t)), Pid: id.pid, Tid: id.tid,
+					Args: map[string]any{v.Key: v.V}})
 			}
-			cum[i] += n
-			out = append(out, chromeEvent{Name: fmt.Sprintf("solver.w%d.tasks", i), Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidSolver, Tid: 1,
-				Args: map[string]any{"cumulative": cum[i]}})
 		}
 	}
 	return out

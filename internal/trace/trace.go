@@ -1,10 +1,10 @@
 // Package trace is the structured event-tracing and telemetry subsystem:
 // typed spans and instant events keyed by virtual sim.Time, per-process
-// append-only buffers, fluid-flow async events, and per-resource rate
-// samples (utilization timelines). Recordings export to Chrome
-// trace-event JSON (loadable in Perfetto, see export.go) and to a compact
-// summary with per-category duration percentiles and per-resource busy
-// fractions (see summary.go).
+// append-only buffers, fluid-flow async events, per-resource rate samples
+// (utilization timelines), and per-subsystem counter streams. Recordings
+// export to Chrome trace-event JSON (loadable in Perfetto, see export.go)
+// and to a compact summary with per-category duration percentiles,
+// per-resource busy fractions and final counter values (see summary.go).
 //
 // The recorder is designed so that *disabled tracing costs one nil check*:
 // every method on a nil *Recorder returns immediately without touching its
@@ -15,6 +15,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"univistor/internal/sim"
 )
 
@@ -99,51 +101,65 @@ type counter struct {
 	samples  []sample
 }
 
-// allocSample is one point of the allocator-counter timeline: the
-// engine's cumulative AllocStats and the live component count after a
-// dirty-batch solve.
-type allocSample struct {
+// Stream is one of the recorder's counter streams: a fixed group of
+// counter tracks one subsystem records into with Counters. Each stream
+// exports under its own Perfetto process and thread (see streamTracks);
+// the constants are declared in that (pid, tid) order, which is the
+// export order.
+type Stream uint8
+
+// The counter streams.
+const (
+	// StreamAlloc: the engine's allocator counters (sim.AllocTracer).
+	StreamAlloc Stream = iota
+	// StreamSolver: worker-pool batches (sim.ParallelTracer). Host
+	// telemetry: task placement is work-stealing, so the stream is not
+	// deterministic across runs and never feeds byte-compared output.
+	StreamSolver
+	// StreamMetaOps: the metadata plane's cumulative ops per shard.
+	StreamMetaOps
+	// StreamMetaLease: the metadata plane's lease and split counters.
+	StreamMetaLease
+	// StreamCAS: the content-addressed store's flush and GC bytes.
+	StreamCAS
+	numStreams
+)
+
+// The arg keys Perfetto plots a counter value under.
+const (
+	KeyLive       = "live"       // a level at the instant
+	KeyCumulative = "cumulative" // a running total
+	KeyPending    = "pending"    // a backlog awaiting work
+)
+
+// Value is one counter reading: the track name, the arg key Perfetto
+// plots it under, and the value.
+type Value struct {
+	Name string
+	Key  string
+	V    int64
+}
+
+// reading is one instant of a counter stream; its values run from start
+// in the stream's vals up to the next reading's start.
+type reading struct {
 	t     sim.Time
-	stats sim.AllocStats
-	live  int
+	start int
 }
 
-// metaSample is one point of the metadata-plane timeline: the cumulative
-// per-shard op counts after a charged plane operation.
-type metaSample struct {
-	t      sim.Time
-	shards []int
-	ops    []int64
+// counterStream is one stream's timeline, its values in one flat buffer.
+type counterStream struct {
+	readings []reading
+	vals     []Value
 }
 
-// leaseSample is one point of the metadata plane's lease/split timeline:
-// cumulative lease grants, follower-served and leader-forwarded reads,
-// and migrated split records.
-type leaseSample struct {
-	t                                         sim.Time
-	grants, follower, forwarded, splitRecords int64
-}
-
-// casSample is one point of the content-addressed store's timeline: the
-// cumulative logical bytes presented to flush versus the physical bytes
-// actually moved, plus the dead bytes awaiting GC at that instant.
-type casSample struct {
-	t        sim.Time
-	logical  int64
-	physical int64
-	dead     int64
-}
-
-// parallelSample is one point of the worker-pool timeline: the fan-out
-// width and work of one parallel batch. These are host-execution
-// telemetry — task placement is work-stealing — so the timeline is not
-// deterministic across runs and never feeds byte-compared output.
-type parallelSample struct {
-	t          sim.Time
-	workers    int
-	components int
-	flows      int
-	perWorker  []int64 // tasks each worker slot ran in this batch
+// values returns the values of reading i.
+func (cs *counterStream) values(i int) []Value {
+	end := len(cs.vals)
+	if i+1 < len(cs.readings) {
+		end = cs.readings[i+1].start
+	}
+	return cs.vals[cs.readings[i].start:end]
 }
 
 // Recorder accumulates a simulation's trace. The zero value is not usable;
@@ -159,18 +175,10 @@ type Recorder struct {
 	counters     map[*sim.Resource]*counter
 	counterOrder []*sim.Resource // registration order, for deterministic export
 
-	allocSamples []allocSample // allocator-counter timeline (sim.AllocTracer)
-
-	metaSamples []metaSample // metadata-plane per-shard op timeline
-
-	leaseSamples []leaseSample // metadata-plane lease/split timeline
-
-	casSamples []casSample // CAS logical-vs-physical byte timeline
-
-	// Worker-pool telemetry (sim.ParallelTracer): the batch timeline and
-	// cumulative tasks per worker slot.
-	parallelSamples []parallelSample
-	workerTasks     []int64
+	streams [numStreams]counterStream
+	// workerTasks is the cumulative task count per worker slot, the
+	// solver stream's running totals.
+	workerTasks []int64
 
 	maxTime sim.Time // latest event time seen; clamps still-open spans
 }
@@ -350,99 +358,51 @@ func (r *Recorder) ResourceSample(t sim.Time, res *sim.Resource, rate float64) {
 	c.samples = append(c.samples, sample{t: t, rate: rate})
 }
 
-// AllocSample records the engine's cumulative allocator counters after a
-// dirty-batch solve (sim.AllocTracer hook). The timeline exports as a
-// counter track (components over time) and digests into the summary's
-// allocator block.
+// Counters records a reading of stream s at time t. A reading at the
+// same instant as the stream's previous one supersedes it. vals is not
+// retained.
+func (r *Recorder) Counters(t sim.Time, s Stream, vals ...Value) {
+	if r == nil {
+		return
+	}
+	r.note(t)
+	cs := &r.streams[s]
+	if n := len(cs.readings); n > 0 && cs.readings[n-1].t == t {
+		cs.vals = cs.vals[:cs.readings[n-1].start]
+	} else {
+		cs.readings = append(cs.readings, reading{t: t, start: len(cs.vals)})
+	}
+	cs.vals = append(cs.vals, vals...)
+}
+
+// AllocSample records the engine's allocator counters after a
+// dirty-batch solve (sim.AllocTracer hook).
 func (r *Recorder) AllocSample(t sim.Time, s sim.AllocStats, liveComponents int) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	// Same-instant batches supersede each other: keep the last state.
-	if n := len(r.allocSamples); n > 0 && r.allocSamples[n-1].t == t {
-		r.allocSamples[n-1] = allocSample{t: t, stats: s, live: liveComponents}
-		return
-	}
-	r.allocSamples = append(r.allocSamples, allocSample{t: t, stats: s, live: liveComponents})
-}
-
-// MetaSample records the metadata plane's cumulative per-shard op counts
-// after a charged plane operation (the metaplane.Sampler hook). shards and
-// ops are parallel slices ordered by shard id; both are caller scratch and
-// are copied, not retained.
-func (r *Recorder) MetaSample(t sim.Time, shards []int, ops []int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	// Same-instant ops supersede each other: keep the last state.
-	if n := len(r.metaSamples); n > 0 && r.metaSamples[n-1].t == t {
-		r.metaSamples[n-1].shards = append(r.metaSamples[n-1].shards[:0], shards...)
-		r.metaSamples[n-1].ops = append(r.metaSamples[n-1].ops[:0], ops...)
-		return
-	}
-	r.metaSamples = append(r.metaSamples, metaSample{
-		t:      t,
-		shards: append([]int(nil), shards...),
-		ops:    append([]int64(nil), ops...),
-	})
-}
-
-// LeaseSample records the metadata plane's cumulative lease and split
-// counters after a follower read, forwarded read, or migration batch (the
-// metaplane.LeaseSampler hook).
-func (r *Recorder) LeaseSample(t sim.Time, grants, followerReads, forwardedReads, splitRecords int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	s := leaseSample{t: t, grants: grants, follower: followerReads,
-		forwarded: forwardedReads, splitRecords: splitRecords}
-	// Same-instant updates supersede each other: keep the last state.
-	if n := len(r.leaseSamples); n > 0 && r.leaseSamples[n-1].t == t {
-		r.leaseSamples[n-1] = s
-		return
-	}
-	r.leaseSamples = append(r.leaseSamples, s)
-}
-
-// CASSample records the content-addressed store's cumulative logical and
-// physical flush bytes plus the dead bytes pending GC — the
-// logical-vs-physical counter track of the dedup layer.
-func (r *Recorder) CASSample(t sim.Time, logical, physical, dead int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	// Same-instant updates supersede each other: keep the last state.
-	if n := len(r.casSamples); n > 0 && r.casSamples[n-1].t == t {
-		r.casSamples[n-1] = casSample{t: t, logical: logical, physical: physical, dead: dead}
-		return
-	}
-	r.casSamples = append(r.casSamples, casSample{t: t, logical: logical, physical: physical, dead: dead})
+	r.Counters(t, StreamAlloc,
+		Value{"alloc.components", KeyLive, int64(liveComponents)},
+		Value{"alloc.flows_solved", KeyCumulative, s.FlowsSolved})
 }
 
 // ParallelSample records one worker-pool batch (sim.ParallelTracer hook):
-// its fan-out width, task and flow counts, and the per-worker task split.
-// perWorker is engine scratch and is accumulated, not retained.
+// its fan-out width, task and flow counts, and each worker slot's
+// cumulative task count. perWorker is engine scratch and is not retained.
 func (r *Recorder) ParallelSample(t sim.Time, workers, components, flows int, perWorker []int64) {
 	if r == nil {
 		return
 	}
-	r.note(t)
-	r.parallelSamples = append(r.parallelSamples, parallelSample{
-		t: t, workers: workers, components: components, flows: flows,
-		perWorker: append([]int64(nil), perWorker...),
-	})
-	if len(r.workerTasks) < len(perWorker) {
-		grown := make([]int64, len(perWorker))
-		copy(grown, r.workerTasks)
-		r.workerTasks = grown
+	vals := []Value{
+		{"solver.batch.workers", KeyLive, int64(workers)},
+		{"solver.batch.components", KeyLive, int64(components)},
+		{"solver.batch.flows", KeyLive, int64(flows)},
 	}
 	for i, n := range perWorker {
+		if i == len(r.workerTasks) {
+			r.workerTasks = append(r.workerTasks, 0)
+		}
 		r.workerTasks[i] += n
+		vals = append(vals, Value{fmt.Sprintf("solver.w%d.tasks", i), KeyCumulative, r.workerTasks[i]})
 	}
+	r.Counters(t, StreamSolver, vals...)
 }
 
 // Events returns the total number of recorded track events (spans and

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -82,6 +85,9 @@ func TestDisabledRecorder(t *testing.T) {
 	rec.FlowBegin(0, 1, 100, nil)
 	rec.FlowEnd(1, 1)
 	rec.ResourceSample(0, nil, 5)
+	rec.Counters(0, StreamCAS, Value{"cas.dead_bytes", KeyPending, 1})
+	rec.AllocSample(0, sim.AllocStats{}, 1)
+	rec.ParallelSample(0, 2, 2, 2, []int64{1, 1})
 	if rec.Events() != 0 || rec.Flows() != 0 {
 		t.Fatal("disabled recorder recorded something")
 	}
@@ -104,6 +110,7 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 		rec.ResourceSample(0, nil, 1e9)
 		rec.FlowEnd(1, 7)
 		rec.Instant(1, "sim", "tick")
+		rec.Counters(1, StreamMetaLease, Value{"meta.lease_grants", KeyCumulative, 3})
 		sp.End(2)
 	})
 	if allocs != 0 {
@@ -195,34 +202,119 @@ func TestSummarize(t *testing.T) {
 	if !strings.Contains(buf.String(), "write") || !strings.Contains(buf.String(), "disk") {
 		t.Errorf("formatted summary missing expected rows:\n%s", buf.String())
 	}
-	if s.Alloc == nil {
-		t.Fatal("summary missing allocator block")
+	var flows CounterSummary
+	for _, c := range s.Counters {
+		if c.Name == "alloc.flows_solved" {
+			flows = c
+		}
 	}
-	if s.Alloc.ComponentsSolved == 0 || s.Alloc.Samples == 0 || s.Alloc.PeakComponents == 0 {
-		t.Errorf("allocator block empty: %+v", s.Alloc)
+	if flows.Key != KeyCumulative || flows.Final == 0 || flows.Samples == 0 {
+		t.Errorf("allocator counter missing or empty: %+v", s.Counters)
 	}
-	if !strings.Contains(buf.String(), "allocator:") {
-		t.Errorf("formatted summary missing allocator line:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "alloc.flows_solved") {
+		t.Errorf("formatted summary missing the allocator counter:\n%s", buf.String())
 	}
 }
 
 // The recorder implements sim.AllocTracer: every dirty-batch solve lands
-// one allocator sample, and same-instant batches supersede each other.
+// one allocator reading, and same-instant batches supersede each other.
 func TestAllocSampleTimeline(t *testing.T) {
 	rec := New()
 	runScenario(rec)
-	if len(rec.allocSamples) == 0 {
-		t.Fatal("no allocator samples recorded")
+	cs := &rec.streams[StreamAlloc]
+	if len(cs.readings) == 0 {
+		t.Fatal("no allocator readings recorded")
 	}
 	var prev sim.Time = -1
-	for _, s := range rec.allocSamples {
-		if s.t <= prev {
-			t.Fatalf("allocator samples not strictly increasing in time: %v after %v", s.t, prev)
+	for _, rd := range cs.readings {
+		if rd.t <= prev {
+			t.Fatalf("allocator readings not strictly increasing in time: %v after %v", rd.t, prev)
 		}
-		prev = s.t
+		prev = rd.t
 	}
-	last := rec.allocSamples[len(rec.allocSamples)-1]
-	if last.stats.Recomputes == 0 || last.stats.FlowsSolved == 0 {
-		t.Errorf("final allocator sample has empty counters: %+v", last.stats)
+	last := cs.values(len(cs.readings) - 1)
+	if len(last) != 2 || last[1].Name != "alloc.flows_solved" || last[1].V == 0 {
+		t.Errorf("final allocator reading has empty counters: %+v", last)
+	}
+}
+
+// Streams recorded in reverse pid order still export in (pid, tid) order
+// with each process named once, and a same-instant reading replaces the
+// stream's previous one.
+func TestCounterStreamsExportOrder(t *testing.T) {
+	rec := New()
+	for st := numStreams - 1; ; st-- {
+		rec.Counters(1, st, Value{fmt.Sprintf("s%d", st), KeyCumulative, 1})
+		rec.Counters(2, st, Value{fmt.Sprintf("s%d", st), KeyCumulative, 2})
+		rec.Counters(2, st, Value{fmt.Sprintf("s%d", st), KeyCumulative, 3})
+		if st == 0 {
+			break
+		}
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f chromeFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	var procs []int
+	named := map[int]int{}
+	prev := [2]int{}
+	counters := 0
+	for _, ev := range f.TraceEvents {
+		switch ev.Ph {
+		case "M":
+			if ev.Name == "process_name" {
+				named[ev.Pid]++
+				procs = append(procs, ev.Pid)
+			}
+		case "C":
+			cur := [2]int{ev.Pid, ev.Tid}
+			if cur[0] < prev[0] || cur[0] == prev[0] && cur[1] < prev[1] {
+				t.Errorf("counter %s at (pid %d, tid %d) exported after (%d, %d)", ev.Name, cur[0], cur[1], prev[0], prev[1])
+			}
+			prev = cur
+			counters++
+			if v := ev.Args[KeyCumulative].(float64); ev.Ts == usec(2) && v != 3 {
+				t.Errorf("%s at t=2 = %v, want the superseding reading 3", ev.Name, v)
+			}
+		}
+	}
+	if !sort.IntsAreSorted(procs) {
+		t.Errorf("process_name pids %v not in pid order", procs)
+	}
+	for pid, n := range named {
+		if n != 1 {
+			t.Errorf("pid %d named %d times, want once", pid, n)
+		}
+	}
+	if want := 2 * int(numStreams); counters != want {
+		t.Errorf("exported %d counter events, want %d (one per stream per instant)", counters, want)
+	}
+	for _, c := range rec.Summarize(0).Counters {
+		if c.Final != 3 || c.Samples != 2 {
+			t.Errorf("summary %s = %d over %d readings, want 3 over 2", c.Name, c.Final, c.Samples)
+		}
+	}
+}
+
+// Worker-pool batches land on the solver stream with each worker slot's
+// running task total.
+func TestParallelSampleAccumulatesTasks(t *testing.T) {
+	rec := New()
+	rec.ParallelSample(1, 2, 3, 40, []int64{2, 1})
+	rec.ParallelSample(2, 3, 4, 50, []int64{1, 1, 2})
+	got := map[string]int64{}
+	for _, c := range rec.Summarize(0).Counters {
+		got[c.Name+" "+c.Key] = c.Final
+	}
+	want := map[string]int64{
+		"solver.batch.workers live": 3, "solver.batch.components live": 4, "solver.batch.flows live": 50,
+		"solver.w0.tasks cumulative": 3, "solver.w1.tasks cumulative": 2, "solver.w2.tasks cumulative": 2,
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("solver counters = %v, want %v", got, want)
 	}
 }
