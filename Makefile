@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-diffcheck perfbench-test check bench chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+.PHONY: all build fmt vet test race race-diffcheck perfbench-test layer-bench check bench chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 all: check
 
@@ -25,9 +25,15 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# Per-layer benchmarks (kvstore Store.Put, metaplane Plane.Put at R=1 and
+# R=3), one iteration each so they stay compiled and runnable. Drop
+# -benchtime for real numbers; every one reports allocs/op.
+layer-bench:
+	$(GO) test -run '^$$' -bench 'StorePut|PlanePut' -benchtime 1x ./internal/kvstore ./internal/metaplane
+
 # The full CI gate: compile, static checks, race-enabled tests, the
-# benchmark's tests, chaos gates.
-check: build fmt vet race perfbench-test chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+# benchmark's tests, the layer benchmarks, chaos gates.
+check: build fmt vet race perfbench-test layer-bench chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.

@@ -71,7 +71,6 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 		Replicas:        replicas,
 		Nodes:           nodes,
 		RangeSize:       rangeSize,
-		Seed:            1234,
 		RecordLatencies: true,
 		Costs: metaplane.Costs{
 			NetLatency: tc.NetLatency,

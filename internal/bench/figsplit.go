@@ -84,7 +84,6 @@ func newStormPlane(shards int, leased bool) *metaplane.Plane {
 		Replicas:        3,
 		Nodes:           8,
 		RangeSize:       1 << 20,
-		Seed:            1234,
 		RecordLatencies: true,
 		FollowerReads:   leased,
 		// Small batches so the split's transfer windows interleave with

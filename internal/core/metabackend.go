@@ -136,7 +136,6 @@ func newPlaneMeta(sys *System) (*planeMeta, error) {
 		Nodes:           nNodes,
 		RangeSize:       cfg.MetaRangeSize,
 		SnapshotEvery:   cfg.MetaSnapshotEvery,
-		Seed:            424242,
 		RecordLatencies: cfg.MetaRecordLatencies,
 		FollowerReads:   cfg.MetaFollowerReads,
 		LeaseTime:       cfg.MetaLeaseTime,

@@ -222,7 +222,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	nNodes := len(w.Cluster.Nodes)
 	nServers := nNodes * cfg.ServersPerNode
 	for n := 0; n < nNodes; n++ {
-		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore(int64(7000+n)))
+		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore())
 	}
 	sys.nodeFlushCount = make([]int, nNodes)
 	sys.nodeAppCount = map[string][]int{}

@@ -1,7 +1,9 @@
 package kvstore
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,7 +16,7 @@ func rec(fid meta.FileID, off, size int64, proc int) meta.Record {
 }
 
 func TestStorePutGetDelete(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	s.Put(rec(1, 100, 10, 7))
 	got, ok := s.Get(meta.Key{FID: 1, Offset: 100})
 	if !ok || got.Proc != 7 {
@@ -41,7 +43,7 @@ func TestStorePutGetDelete(t *testing.T) {
 }
 
 func TestStoreOrderedScanAndFloor(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore()
 	for _, off := range []int64{50, 10, 30, 20, 40} {
 		s.Put(rec(1, off, 5, 0))
 	}
@@ -69,7 +71,7 @@ func TestStoreOrderedScanAndFloor(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	s := NewStore(3)
+	s := NewStore()
 	for off := int64(0); off < 100; off += 10 {
 		s.Put(rec(1, off, 10, 0))
 	}
@@ -88,7 +90,7 @@ func TestScanEarlyStop(t *testing.T) {
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(seed)
+		s := NewStore()
 		ref := map[meta.Key]meta.Record{}
 		for i := 0; i < 300; i++ {
 			off := int64(rng.Intn(100))
@@ -133,6 +135,237 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+
+	// At scale: 3 files and thousands of operations, enough to split and
+	// empty leaves, with Floor and Scan checked against the model too.
+	for _, order := range []string{"ascending", "random"} {
+		order := order
+		t.Run(order, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				if err := runModel(rand.New(rand.NewSource(seed)), order == "ascending", 2500); err != nil {
+					t.Log(err)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// model is the map+sort oracle the store is checked against.
+type model map[meta.Key]meta.Record
+
+// sorted returns the model's records in key order.
+func (m model) sorted() []meta.Record {
+	out := make([]meta.Record, 0, len(m))
+	for _, r := range m {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key().Less(out[j].Key()) })
+	return out
+}
+
+// runModel drives ops random operations over 3 files against both a store
+// and the model. With ascending set, each file's puts mostly append past
+// its highest offset (the way segments arrive); otherwise offsets are
+// uniform. One operation in fifty deletes a run of 16 consecutive
+// records, the way checkpoint retention drops a step.
+func runModel(rng *rand.Rand, ascending bool, ops int) error {
+	const fids = 3
+	s := NewStore()
+	ref := model{}
+	var cursor [fids + 1]int64
+	randKey := func() meta.Key {
+		fid := meta.FileID(rng.Intn(fids) + 1)
+		if ascending && rng.Intn(8) != 0 {
+			return meta.Key{FID: fid, Offset: cursor[fid]}
+		}
+		return meta.Key{FID: fid, Offset: int64(rng.Intn(1500))}
+	}
+	for i := 0; i < ops; i++ {
+		key := randKey()
+		switch op := rng.Intn(100); {
+		case op < 65:
+			r := rec(key.FID, key.Offset, int64(rng.Intn(10)+1), rng.Intn(50))
+			s.Put(r)
+			ref[key] = r
+			if key.Offset >= cursor[key.FID] {
+				cursor[key.FID] = key.Offset + 1 + int64(rng.Intn(3))
+			}
+		case op < 73:
+			got, ok := s.Get(key)
+			if want, wok := ref[key]; ok != wok || got != want {
+				return fmt.Errorf("op %d: Get(%v) = %+v,%v, want %+v,%v", i, key, got, ok, want, wok)
+			}
+		case op < 98:
+			_, had := ref[key]
+			if s.Delete(key) != had {
+				return fmt.Errorf("op %d: Delete(%v) != %v", i, key, had)
+			}
+			delete(ref, key)
+		default:
+			all := ref.sorted()
+			if len(all) == 0 {
+				continue
+			}
+			from := rng.Intn(len(all))
+			for _, r := range all[from:min(from+16, len(all))] {
+				if !s.Delete(r.Key()) {
+					return fmt.Errorf("op %d: run delete of %v failed", i, r.Key())
+				}
+				delete(ref, r.Key())
+			}
+		}
+		if i%50 == 0 || i == ops-1 {
+			if err := checkModel(s, ref, rng); err != nil {
+				return fmt.Errorf("op %d: %v", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkModel compares the whole store, its leaf structure, and a batch of
+// Floor and Scan queries against the model.
+func checkModel(s *Store, ref model, rng *rand.Rand) error {
+	want := ref.sorted()
+	if s.Len() != len(want) {
+		return fmt.Errorf("Len = %d, want %d", s.Len(), len(want))
+	}
+	if got := s.All(); !slices.Equal(got, want) {
+		return fmt.Errorf("All differs from model (%d vs %d records)", len(got), len(want))
+	}
+	if err := s.checkLeaves(); err != nil {
+		return err
+	}
+	probe := func() meta.Key {
+		return meta.Key{FID: meta.FileID(rng.Intn(5)), Offset: int64(rng.Intn(1700)) - 100}
+	}
+	for q := 0; q < 20; q++ {
+		key := probe()
+		got, ok := s.Floor(key)
+		i := sort.Search(len(want), func(i int) bool { return key.Less(want[i].Key()) })
+		if wok := i > 0; ok != wok || (ok && got != want[i-1]) {
+			return fmt.Errorf("Floor(%v) = %+v,%v, want ok=%v", key, got, ok, wok)
+		}
+		lo, hi := probe(), probe()
+		if rng.Intn(2) == 0 { // a bound pair inside one file
+			hi.FID = lo.FID
+		}
+		var scanned []meta.Record
+		s.Scan(lo, hi, func(r meta.Record) bool { scanned = append(scanned, r); return true })
+		var inRange []meta.Record
+		for _, r := range want {
+			if !r.Key().Less(lo) && r.Key().Less(hi) {
+				inRange = append(inRange, r)
+			}
+		}
+		if !slices.Equal(scanned, inRange) {
+			return fmt.Errorf("Scan(%v, %v) = %d records, want %d", lo, hi, len(scanned), len(inRange))
+		}
+	}
+	return nil
+}
+
+// checkLeaves verifies the leaf structure: every leaf non-empty and within
+// capacity, keys strictly ascending across leaf boundaries, size exact.
+func (s *Store) checkLeaves() error {
+	n := 0
+	var last meta.Key
+	for li, leaf := range s.leaves {
+		if len(leaf) == 0 || len(leaf) > leafCap {
+			return fmt.Errorf("leaf %d holds %d records (cap %d)", li, len(leaf), leafCap)
+		}
+		for j, r := range leaf {
+			if n > 0 && !last.Less(r.Key()) {
+				return fmt.Errorf("leaf %d record %d key %v not after %v", li, j, r.Key(), last)
+			}
+			last = r.Key()
+			n++
+		}
+	}
+	if n != s.size {
+		return fmt.Errorf("leaves hold %d records, size %d", n, s.size)
+	}
+	return nil
+}
+
+// Ascending inserts pack full leaves; deleting everything in 16-record runs
+// empties and drops every leaf.
+func TestStoreLeafSplitAndDrop(t *testing.T) {
+	s := NewStore()
+	const n = 10 * leafCap
+	for off := int64(0); off < n; off++ {
+		s.Put(rec(1, off, 1, 0))
+	}
+	if want := n / leafCap; len(s.leaves) != want {
+		t.Errorf("ascending inserts built %d leaves, want %d full ones", len(s.leaves), want)
+	}
+	// Inserting into the middle of a full leaf splits it.
+	s.Put(rec(0, 0, 1, 0))
+	if len(s.leaves) != n/leafCap+1 || len(s.leaves[0]) != leafCap/2+1 {
+		t.Errorf("split produced %d leaves, first holds %d", len(s.leaves), len(s.leaves[0]))
+	}
+	if err := s.checkLeaves(); err != nil {
+		t.Fatal(err)
+	}
+	s.Delete(meta.Key{FID: 0, Offset: 0})
+	for off := int64(0); off < n; off += 16 {
+		for k := off; k < off+16; k++ {
+			if !s.Delete(meta.Key{FID: 1, Offset: k}) {
+				t.Fatalf("Delete(%d) failed", k)
+			}
+		}
+		if err := s.checkLeaves(); err != nil {
+			t.Fatalf("after deleting run at %d: %v", off, err)
+		}
+	}
+	if s.Len() != 0 || len(s.leaves) != 0 {
+		t.Errorf("emptied store: Len=%d leaves=%d", s.Len(), len(s.leaves))
+	}
+	if _, ok := s.Floor(meta.Key{FID: 9, Offset: 9}); ok {
+		t.Error("Floor on an empty store succeeded")
+	}
+}
+
+// Overwriting an existing key rewrites the record in place.
+func TestStorePutExistingKeyAllocs(t *testing.T) {
+	s := NewStore()
+	for off := int64(0); off < 1000; off++ {
+		s.Put(rec(1, off, 1, 0))
+	}
+	off := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Put(rec(1, off%1000, 2, 1))
+		off += 7
+	})
+	if allocs != 0 {
+		t.Errorf("Put of an existing key allocates %v times, want 0", allocs)
+	}
+}
+
+func BenchmarkStorePut(b *testing.B) {
+	for _, order := range []string{"ascending", "random"} {
+		b.Run(order, func(b *testing.B) {
+			offs := make([]int64, b.N)
+			rng := rand.New(rand.NewSource(1))
+			for i := range offs {
+				offs[i] = int64(i)
+				if order == "random" {
+					offs[i] = rng.Int63n(int64(b.N) * 4)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s := NewStore()
+			for i, off := range offs {
+				s.Put(rec(meta.FileID(i%3), off, 1, i))
+			}
+		})
 	}
 }
 

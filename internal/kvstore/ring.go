@@ -1,7 +1,9 @@
 package kvstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"univistor/internal/meta"
 )
@@ -20,7 +22,7 @@ type Ring struct {
 func NewRing(n int, rangeSize int64) *Ring {
 	r := &Ring{part: meta.NewPartitioner(rangeSize, n)}
 	for i := 0; i < n; i++ {
-		r.stores = append(r.stores, NewStore(int64(1000+i)))
+		r.stores = append(r.stores, NewStore())
 	}
 	return r
 }
@@ -61,65 +63,73 @@ func (r *Ring) Get(fid meta.FileID, offset int64) (meta.Record, bool) {
 // contacted. A record overlaps if rec.Offset < offset+size and
 // rec.Offset+rec.Size > offset.
 func (r *Ring) Covering(fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
+	return CoveringPartitioned(r.part.RangeSize, fid, offset, size, func(off int64) (int, *Store) {
+		srv := r.part.ServerFor(off)
+		return srv, r.stores[srv]
+	})
+}
+
+// CoveringPartitioned is the covering query over a key space cut into
+// rangeSize-byte partitions, each held by one store: locate returns the
+// index and store owning the partition that contains an offset. It
+// returns, in key order, every record of the file overlapping [offset,
+// offset+size), and the indexes of the stores a charged query contacts:
+// the ascending set owning a partition of the range, followed by the
+// store one partition back when it holds a record straddling into the
+// range and is not already in the set.
+//
+// Record sizes must not exceed rangeSize, so a straddling record starts
+// at most one partition before the range.
+func CoveringPartitioned(rangeSize int64, fid meta.FileID, offset, size int64,
+	locate func(off int64) (int, *Store)) ([]meta.Record, []int) {
 	if size <= 0 {
 		return nil, nil
 	}
+	end := offset + size
 	var recs []meta.Record
-	seen := map[meta.Key]bool{}
-	parts := r.part.Split(offset, size)
-	servers := meta.SortedServers(parts)
-	for _, part := range parts {
-		st := r.stores[part.Server]
-		// A segment starting before this sub-range may cover its head.
-		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: part.Offset}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > part.Offset {
-			if !seen[prev.Key()] {
-				seen[prev.Key()] = true
-				recs = append(recs, prev)
-			}
+	var ids []int
+	for off := offset; off < end; {
+		partEnd := min((off/rangeSize+1)*rangeSize, end)
+		id, st := locate(off)
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
-		st.Scan(meta.Key{FID: fid, Offset: part.Offset},
-			meta.Key{FID: fid, Offset: part.Offset + part.Size},
+		// A record starting earlier in this partition may cover the head.
+		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
+			prev.FID == fid && prev.Offset < off && prev.Offset+prev.Size > off {
+			recs = append(recs, prev)
+		}
+		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
 			func(rec meta.Record) bool {
-				if rec.Offset+rec.Size > offset && rec.Offset < offset+size && !seen[rec.Key()] {
-					seen[rec.Key()] = true
+				if rec.Offset+rec.Size > offset {
 					recs = append(recs, rec)
 				}
 				return true
 			})
+		off = partEnd
 	}
-	// Segments straddling a partition boundary live on the server owning
-	// their *start* offset, which may lie in the partition immediately
-	// before the one containing the query start (segment sizes are bounded
-	// by the partition range size, so one partition back suffices).
-	if partStart := (parts[0].Offset / r.part.RangeSize) * r.part.RangeSize; partStart > 0 {
-		prevServer := r.part.ServerFor(partStart - 1)
-		st := r.stores[prevServer]
+	slices.Sort(ids)
+	// A record straddling the range's first partition boundary lives on the
+	// store owning the previous partition.
+	if partStart := offset / rangeSize * rangeSize; partStart > 0 {
+		id, st := locate(partStart - 1)
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
-			seen[prev.Key()] = true
+			prev.FID == fid && prev.Offset+prev.Size > offset {
 			recs = append(recs, prev)
-			found := false
-			for _, s := range servers {
-				if s == prevServer {
-					found = true
-				}
-			}
-			if !found {
-				servers = append(servers, prevServer)
+			if !slices.Contains(ids, id) {
+				ids = append(ids, id)
 			}
 		}
 	}
-	sortRecords(recs)
-	return recs, servers
+	// A store owning consecutive partitions can yield one record twice;
+	// the stable sort keeps the first-found copy at the head of each run.
+	slices.SortStableFunc(recs, compareKeys)
+	recs = slices.CompactFunc(recs, func(a, b meta.Record) bool { return a.Key() == b.Key() })
+	return recs, ids
 }
 
-func sortRecords(recs []meta.Record) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Key().Less(recs[j-1].Key()); j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+func compareKeys(a, b meta.Record) int {
+	return cmp.Or(cmp.Compare(a.FID, b.FID), cmp.Compare(a.Offset, b.Offset))
 }
 
 // CoveringStore returns, in offset order, every record of the file in a

@@ -2,7 +2,7 @@ package metaplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
@@ -86,6 +86,8 @@ type group struct {
 	epoch  int64
 	frozen int
 	rr     uint64 // round-robin cursor for leased replica selection
+
+	acks []sim.Time // ship's reused ack buffer
 }
 
 // alive returns the indexes of non-crashed replicas, ascending.
@@ -97,6 +99,17 @@ func (g *group) alive() []int {
 		}
 	}
 	return out
+}
+
+// aliveCount returns the number of non-crashed replicas.
+func (g *group) aliveCount() int {
+	n := 0
+	for _, r := range g.replicas {
+		if !r.crashed {
+			n++
+		}
+	}
+	return n
 }
 
 // lead returns the current leader replica.
@@ -129,10 +142,11 @@ func (g *group) commitEntry(e Entry, snapshotEvery int) {
 	}
 }
 
-// append ships entry e to the leader (already appended by the caller) and
-// every alive follower, returning the sorted follower ack times.
+// ship sends entry e (already appended on the leader) to every alive
+// follower, returning the sorted follower ack times. The slice is the
+// group's reused buffer: it is valid until the next ship.
 func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
-	var acks []sim.Time
+	acks := g.acks[:0]
 	for i, f := range g.replicas {
 		if i == g.leader || f.crashed {
 			continue
@@ -148,7 +162,8 @@ func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
 		g.appended++
 		acks = append(acks, f.opsFree+sim.Time(c.NetLatency))
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	slices.Sort(acks)
+	g.acks = acks
 	return acks
 }
 

@@ -2,6 +2,7 @@ package metaplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"univistor/internal/kvstore"
@@ -55,9 +56,6 @@ type Config struct {
 	// SnapshotEvery is the retained-log-length compaction threshold
 	// (DefaultSnapshotEvery if 0).
 	SnapshotEvery int
-
-	// Seed derives the replica stores' skiplist seeds.
-	Seed int64
 
 	// RecordLatencies retains per-op commit/stat latency samples for the
 	// benchmark percentiles (off for figure runs to keep memory flat).
@@ -115,8 +113,7 @@ type Plane struct {
 	groups map[int]*group
 	order  []int // active shard ids, ascending
 
-	nextShard int   // next shard id to mint (monotonic across membership)
-	seedCtr   int64 // deterministic store-seed counter (snapshot installs)
+	nextShard int // next shard id to mint (monotonic across membership)
 
 	split *splitRun // active online split, nil otherwise
 
@@ -189,12 +186,11 @@ func (pl *Plane) newGroup() *group {
 	pl.nextShard++
 	g := &group{id: id, ledger: map[meta.Key]bool{}}
 	for k := 0; k < pl.cfg.Replicas; k++ {
-		pl.seedCtr++
 		g.replicas = append(g.replicas, &replica{
 			shard:      id,
 			idx:        k,
 			node:       (id*pl.cfg.Replicas + k) % pl.cfg.Nodes,
-			store:      kvstore.NewStore(pl.cfg.Seed + 9000 + pl.seedCtr),
+			store:      kvstore.NewStore(),
 			leaseEpoch: -1,
 		})
 	}
@@ -362,7 +358,7 @@ func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec m
 	e := Entry{Index: ld.log.lastIndex() + 1, Kind: kind, Rec: rec}
 	ld.log.append(e)
 	g.appended++
-	acks := g.ship(e, tAppend, c)
+	acks := g.ship(e, tAppend, c) // the group's buffer: read before yielding
 
 	// Majority of the full replica set = leader + ⌊R/2⌋ follower acks.
 	need := len(g.replicas) / 2
@@ -435,58 +431,12 @@ func (pl *Plane) GetLocal(fid meta.FileID, offset int64) (meta.Record, bool) {
 // sizes being bounded by RangeSize, so a record straddling into the query
 // starts at most one partition range back.
 func (pl *Plane) CoveringLocal(fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
-	if size <= 0 {
-		return nil, nil
-	}
-	rs := pl.cfg.RangeSize
-	var recs []meta.Record
-	seen := map[meta.Key]bool{}
-	shardSeen := map[int]bool{}
-	var shards []int
-	touch := func(shard int) {
-		if !shardSeen[shard] {
-			shardSeen[shard] = true
-			shards = append(shards, shard)
-		}
-	}
-	for off := offset; off < offset+size; {
-		partEnd := (off/rs + 1) * rs
-		if end := offset + size; partEnd > end {
-			partEnd = end
-		}
-		shard := pl.ShardFor(fid, off)
-		touch(shard)
-		st := pl.groups[shard].lead().store
-		// A record starting earlier in this partition may cover the head.
-		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > off && !seen[prev.Key()] {
-			seen[prev.Key()] = true
-			recs = append(recs, prev)
-		}
-		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
-			func(rec meta.Record) bool {
-				if rec.Offset+rec.Size > offset && rec.Offset < offset+size && !seen[rec.Key()] {
-					seen[rec.Key()] = true
-					recs = append(recs, rec)
-				}
-				return true
-			})
-		off = partEnd
-	}
-	// A record straddling the query's first partition boundary lives on the
-	// shard owning the previous range.
-	if partStart := (offset / rs) * rs; partStart > 0 {
-		shard := pl.ShardFor(fid, partStart-1)
-		st := pl.groups[shard].lead().store
-		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
-			seen[prev.Key()] = true
-			recs = append(recs, prev)
-			touch(shard)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key().Less(recs[j].Key()) })
-	sort.Ints(shards)
+	recs, shards := kvstore.CoveringPartitioned(pl.cfg.RangeSize, fid, offset, size,
+		func(off int64) (int, *kvstore.Store) {
+			shard := pl.ShardFor(fid, off)
+			return shard, pl.groups[shard].lead().store
+		})
+	slices.Sort(shards)
 	return recs, shards
 }
 
@@ -519,7 +469,7 @@ func (pl *Plane) Total() int {
 // than two replicas are alive (the last copy must not be lost).
 func (pl *Plane) CrashLeader(shard int) (crashedReplica int, ok bool) {
 	g, found := pl.groups[shard]
-	if !found || len(g.alive()) < 2 {
+	if !found || g.aliveCount() < 2 {
 		return -1, false
 	}
 	old := g.leader
@@ -549,10 +499,8 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 	entries, retained := ld.log.entriesFrom(r.log.lastIndex() + 1)
 	if !retained {
 		// The leader compacted past this replica's log: ship a snapshot of
-		// the leader state (a fresh deterministic store) and restart the
-		// log at the snapshot index.
-		pl.seedCtr++
-		st := kvstore.NewStore(pl.cfg.Seed + 9000 + pl.seedCtr)
+		// the leader state and restart the log at the snapshot index.
+		st := kvstore.NewStore()
 		for _, rec := range ld.store.All() {
 			st.Put(rec)
 		}

@@ -156,11 +156,12 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 		// after this instant reach the target through the double-apply
 		// path and are marked dirty.
 		var recs []meta.Record
-		for _, rec := range src.lead().store.All() {
+		src.lead().store.Ascend(func(rec meta.Record) bool {
 			if a.contains(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) {
 				recs = append(recs, rec)
 			}
-		}
+			return true
+		})
 		for start := 0; start < len(recs); start += batchRecs {
 			end := start + batchRecs
 			if end > len(recs) {
@@ -182,12 +183,18 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 		// Hand the arc over: re-scan the source (keys created mid-copy are
 		// already mirrored onto the target), retire every arc record from
 		// it, and flip ownership. The migrator does not yield here, so the
-		// purge and the flip are atomic on the virtual clock.
-		for _, rec := range src.lead().store.All() {
+		// purge and the flip are atomic on the virtual clock. The keys are
+		// collected first because the purge deletes from the walked store.
+		var purge []meta.Key
+		src.lead().store.Ascend(func(rec meta.Record) bool {
 			if a.contains(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) {
-				pl.adminApply(src, OpDelete, meta.Record{FID: rec.FID, Offset: rec.Offset})
-				pl.handoffs++
+				purge = append(purge, rec.Key())
 			}
+			return true
+		})
+		for _, k := range purge {
+			pl.adminApply(src, OpDelete, meta.Record{FID: k.FID, Offset: k.Offset})
+			pl.handoffs++
 		}
 		a.phase = arcDone
 		a.dirty = nil

@@ -16,7 +16,7 @@ import (
 func TestSplitPreservesRecordsUnderLoad(t *testing.T) {
 	cfg := testConfig(2, 3)
 	pl := mustPlane(t, cfg)
-	oracle := kvstore.NewStore(7)
+	oracle := kvstore.NewStore()
 	rng := rand.New(rand.NewSource(99))
 
 	e := sim.NewEngine()
@@ -175,7 +175,7 @@ func TestSplitSurvivesLeaderCrashInTransferWindow(t *testing.T) {
 			pl.Mover = func(p *sim.Proc, from, to int, bytes int64) {
 				p.Sleep(5e-5 + float64(bytes)*1e-9)
 			}
-			oracle := kvstore.NewStore(3)
+			oracle := kvstore.NewStore()
 			e := sim.NewEngine()
 			var newID int
 			e.Go("load", func(p *sim.Proc) {

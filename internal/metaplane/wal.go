@@ -22,7 +22,9 @@ type Entry struct {
 
 // wal is a shard replica's mutation log: the entries since the last
 // snapshot, plus the index the snapshot folded in. The WAL models the
-// durable on-disk log — a crash loses nothing appended to it.
+// durable on-disk log — a crash loses nothing appended to it. Compaction
+// shifts the retained tail to the front of the same buffer, so a replica's
+// log reuses one allocation of about SnapshotEvery entries.
 type wal struct {
 	entries []Entry
 	// snapIndex is the last index compacted into the replica's snapshot
@@ -48,6 +50,9 @@ func (w *wal) append(e Entry) {
 
 // entriesFrom returns the suffix of entries with Index >= from, or nil if
 // the log was truncated past from (the caller must install a snapshot).
+// The suffix aliases the log's buffer, which truncate overwrites in place:
+// callers must copy the entries out (applyTo into a store, Recover into
+// another log) before the next truncate.
 func (w *wal) entriesFrom(from int64) ([]Entry, bool) {
 	if from <= w.snapIndex {
 		return nil, false
@@ -60,7 +65,8 @@ func (w *wal) entriesFrom(from int64) ([]Entry, bool) {
 }
 
 // truncate drops entries up to and including upTo, folding them into the
-// snapshot baseline. upTo beyond the last entry is clamped.
+// snapshot baseline. upTo beyond the last entry is clamped. The surviving
+// tail moves to the front of the buffer in place.
 func (w *wal) truncate(upTo int64) {
 	if upTo <= w.snapIndex {
 		return
@@ -69,6 +75,6 @@ func (w *wal) truncate(upTo int64) {
 		upTo = last
 	}
 	n := upTo - w.snapIndex
-	w.entries = append([]Entry(nil), w.entries[n:]...)
+	w.entries = w.entries[:copy(w.entries, w.entries[n:])]
 	w.snapIndex = upTo
 }
