@@ -26,10 +26,11 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 # Per-layer benchmarks (kvstore Store.Put, metaplane Plane.Put at R=1 and
-# R=3), one iteration each so they stay compiled and runnable. Drop
-# -benchtime for real numbers; every one reports allocs/op.
+# R=3, a sim proc park/resume round trip, a sim component solve at 10, 1k
+# and 16k flows), one iteration each so they stay compiled and runnable.
+# Drop -benchtime for real numbers; every one reports allocs/op.
 layer-bench:
-	$(GO) test -run '^$$' -bench 'StorePut|PlanePut' -benchtime 1x ./internal/kvstore ./internal/metaplane
+	$(GO) test -run '^$$' -bench 'StorePut|PlanePut|ProcSwitch|ComponentSolve' -benchtime 1x ./internal/kvstore ./internal/metaplane ./internal/sim
 
 # The full CI gate: compile, static checks, race-enabled tests, the
 # benchmark's tests, the layer benchmarks, chaos gates.

@@ -16,7 +16,6 @@ package meta
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -197,55 +196,4 @@ func (p Partitioner) ServerFor(offset int64) int {
 		panic(fmt.Sprintf("meta: negative offset %d", offset))
 	}
 	return int((offset / p.RangeSize) % int64(p.Servers))
-}
-
-// Split cuts the byte range [offset, offset+size) at partition boundaries
-// and returns the sub-ranges together with their owning servers, in offset
-// order. Every byte belongs to exactly one sub-range.
-func (p Partitioner) Split(offset, size int64) []RangePart {
-	if size <= 0 {
-		return nil
-	}
-	var out []RangePart
-	for cur := offset; cur < offset+size; {
-		rangeEnd := (cur/p.RangeSize + 1) * p.RangeSize
-		end := offset + size
-		if rangeEnd < end {
-			end = rangeEnd
-		}
-		out = append(out, RangePart{Offset: cur, Size: end - cur, Server: p.ServerFor(cur)})
-		cur = end
-	}
-	return out
-}
-
-// RangePart is one partition-aligned piece of a byte range.
-type RangePart struct {
-	Offset int64
-	Size   int64
-	Server int
-}
-
-// CoalesceByServer groups parts by owning server, preserving offset order
-// within each group. The groups are returned in ascending server order.
-func CoalesceByServer(parts []RangePart) map[int][]RangePart {
-	out := make(map[int][]RangePart)
-	for _, p := range parts {
-		out[p.Server] = append(out[p.Server], p)
-	}
-	return out
-}
-
-// SortedServers returns the sorted server set appearing in parts.
-func SortedServers(parts []RangePart) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range parts {
-		if !seen[p.Server] {
-			seen[p.Server] = true
-			out = append(out, p.Server)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -252,7 +252,7 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 		if parked {
 			// Hold the flow at rate 0 until a recompute sees capacity
 			// restored; its resources stay touched so the component keeps
-			// owning them (and their alloc caches read 0, not stale).
+			// owning them (and their utilization reads 0, not stale).
 			setRate(f, 0, ref)
 			if !ref {
 				f.parked = true
@@ -324,30 +324,32 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 	return touched
 }
 
-// cacheRates stores the post-solve allocated rate of every touched
-// resource on the resource itself (the cache Utilization reads). A flow
-// whose path crosses the same resource several times appears consecutively
-// in the state's flow list and is counted once. With a tracer attached,
-// the same values are reported as ResourceSamples, so Utilization and the
-// recorded timeline always agree.
-func (fs *flowSet) cacheRates(touched []*Resource) {
+// rateSum is the allocated rate across a resource after the solve that
+// filled st: the sum of its flows' rates. A flow whose path crosses the
+// resource several times appears consecutively in the state's flow list
+// and is counted once.
+func rateSum(st *resState) float64 {
+	used := 0.0
+	var prev *flow
+	for _, f := range st.flows {
+		if f == prev {
+			continue // repeat crossing of the same flow
+		}
+		prev = f
+		if f.rate > 0 {
+			used += f.rate
+		}
+	}
+	return used
+}
+
+// sampleRates reports the post-solve allocated rate of every touched
+// resource to the tracer. Utilization computes the same rateSum on
+// demand, so it and the recorded timeline always agree.
+func (fs *flowSet) sampleRates(touched []*Resource) {
 	e := fs.e
 	for _, r := range touched {
-		used := 0.0
-		var prev *flow
-		for _, f := range fs.stateOf(r).flows {
-			if f == prev {
-				continue // repeat crossing of the same flow
-			}
-			prev = f
-			if f.rate > 0 {
-				used += f.rate
-			}
-		}
-		r.alloc = used
-		if e.tracer != nil {
-			e.tracer.ResourceSample(e.now, r, used)
-		}
+		e.tracer.ResourceSample(e.now, r, rateSum(fs.stateOf(r)))
 	}
 }
 
@@ -363,13 +365,23 @@ type fastEntry struct {
 
 // fastHeap is the fast path's share min-heap: the same (share, resource
 // id) comparator as shareHeap, but *indexed* — each resource holds at
-// most one entry whose key is updated in place (resState.heapPos), so
-// the heap stays bounded by the live resource count instead of
-// accumulating one lazy entry per water-fill step. The reference
-// solver's lazy heap skips every stale entry it pops, so the first
-// valid entry it acts on is the minimum over current shares — exactly
-// what this heap pops — and the share value both read is computed from
-// the same remCap/remCnt operands, keeping results bitwise identical.
+// most one entry (resState.heapPos), so the heap stays bounded by the
+// live resource count instead of accumulating one lazy entry per
+// water-fill step.
+//
+// Keys are lower bounds, not current values. A freeze that lowers a
+// resource's share (rounding, or the Capacity*1e-12 floor charging more
+// than a share) sifts it up at once; one that raises it — the common case,
+// since in exact arithmetic a share never drops during a water-fill —
+// leaves the key alone. allocateFast recomputes the root's current share
+// before acting and, if the key is stale, re-keys it, sifts it down and
+// looks again, so it pops only a root whose key equals its current share.
+// That root's (share, id) is no greater than any other entry's key pair,
+// and every key is at most its entry's current share; the order is total,
+// so the root is the minimum over current shares — exactly the resource
+// the reference solver's lazy heap acts on after skipping its stale
+// entries. Both read a share computed from the same remCap/remCnt
+// operands, keeping results bitwise identical.
 type fastHeap []fastEntry
 
 func (h fastHeap) less(i, j int) bool {
@@ -437,19 +449,12 @@ func (h *fastHeap) pop() fastEntry {
 	return top
 }
 
-// update re-keys the entry at position i and restores heap order (at
-// most one of up/down moves it).
-func (h fastHeap) update(i int, share float64) {
-	h[i].share = share
-	h.up(i)
-	h.down(i)
-}
-
 // allocateFast is the incremental mode's solver: identical arithmetic and
 // bottleneck ordering to allocateRef, but the per-resource solve state is
 // reached through Resource.state instead of a map, and the share heap is
-// monomorphic — together removing hashing and per-push boxing from the
-// hot loop. The differential mode cross-checks its output against
+// monomorphic and keyed by lower bounds (see fastHeap) — together
+// removing hashing, per-push boxing and most re-key sifts from the hot
+// loop. The differential mode cross-checks its output against
 // allocateRef bitwise.
 //
 // It is a method on solveScratch, not flowSet, so that parallel batches
@@ -517,11 +522,19 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 	h.init()
 	defer func() { sc.heap = h[:0] }()
 	for unassigned > 0 && len(h) > 0 {
-		e := h.pop()
-		st := e.st
+		top := &h[0]
+		st := top.st
 		if st.remCnt == 0 {
+			h.pop()
 			continue // drained by an earlier bottleneck's freezes
 		}
+		if cur := st.remCap / float64(st.remCnt); cur > top.share {
+			// Stale lower bound (see fastHeap): re-key and look again.
+			top.share = cur
+			h.down(0)
+			continue
+		}
+		e := h.pop()
 		share := e.share
 		if min := e.res.Capacity * 1e-12; share < min {
 			share = min
@@ -539,8 +552,11 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 					ost.remCap = 0
 				}
 				ost.remCnt--
-				if ost.heapPos >= 0 && ost.remCnt > 0 {
-					h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
+				if i := ost.heapPos; i >= 0 && ost.remCnt > 0 {
+					if s := ost.remCap / float64(ost.remCnt); s < h[i].share {
+						h[i].share = s
+						h.up(int(i))
+					}
 				}
 			}
 		}

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -252,5 +254,123 @@ func TestRecomputeDebugGoesToStderr(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "[sim] recompute #") {
 		t.Errorf("stderr missing recompute diagnostics, got: %q", stderr.String())
+	}
+}
+
+// solveRates starts one long flow per path at t=0 under the given
+// allocator mode, solves once, and returns the rates in start order.
+// Resources are created in caps order, so their ids — the share heap's
+// tie-break — follow it too.
+func solveRates(mode AllocMode, caps []float64, paths [][]int) []float64 {
+	e := NewEngine()
+	e.SetAllocMode(mode)
+	rs := make([]*Resource, len(caps))
+	for i, c := range caps {
+		rs[i] = NewResource("r", c)
+	}
+	for _, p := range paths {
+		path := make([]*Resource, len(p))
+		for j, ri := range p {
+			path[j] = rs[ri]
+		}
+		e.StartTransfer(1e18, func() {}, path...)
+	}
+	e.RecomputeFlows()
+	rates := make([]float64, len(e.flows.active))
+	for i, f := range e.flows.active {
+		rates[i] = f.rate
+	}
+	return rates
+}
+
+// requireSameBits fails unless the live solver's rates equal the global
+// reference solver's bit for bit.
+func requireSameBits(t *testing.T, caps []float64, paths [][]int) []float64 {
+	t.Helper()
+	live := solveRates(AllocIncremental, caps, paths)
+	ref := solveRates(AllocGlobal, caps, paths)
+	for i := range ref {
+		if math.Float64bits(live[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("flow %d: live rate %v != reference %v (live %v, reference %v)", i, live[i], ref[i], live, ref)
+		}
+	}
+	return live
+}
+
+// A freeze can lower another resource's share below its heap key: here
+// rounding does it. fl(5/3) rounds up, so once A (tied at that share, lower
+// id) freezes f0 at it, C's remaining share drops just below the key it
+// still shares with D. The lower-bound heap must sift C up so that C, not
+// D, is the next bottleneck; without the sift-up, D would win the stale
+// tie on id and every rate after A's would change.
+func TestLoweredShareSiftsUp(t *testing.T) {
+	k := 5.0 / 3 // rounded up
+	const a, d, c = 0, 1, 2
+	caps := []float64{k, 2 * k, 5}
+	paths := [][]int{{a, c}, {c}, {c, d}, {d}}
+	rates := requireSameBits(t, caps, paths)
+	lowered := (5 - k) / 2
+	if lowered >= k {
+		t.Fatalf("scenario lost its rounding: (5-k)/2 = %v >= k = %v", lowered, k)
+	}
+	want := []float64{k, lowered, lowered, 2*k - lowered}
+	for i := range want {
+		if rates[i] != want[i] {
+			t.Errorf("flow %d rate %v, want %v (rates %v)", i, rates[i], want[i], rates)
+		}
+	}
+}
+
+// Equal shares are popped in resource-id order, and here the order shows
+// in the rates: X and Y tie at k = fl(5/3) and share flow f. Whichever is
+// popped first freezes f at k; the other's leftover share is then exact
+// (k) for Y but rounded ((5-k)/2) for X. Both creation orders must match
+// the reference bit for bit, and they must differ from each other.
+func TestEqualSharesBreakTiesByID(t *testing.T) {
+	k := 5.0 / 3
+	// X: cap 5 crossed by f, x1, x2. Y: cap 2k crossed by f, y1.
+	lowered := (5 - k) / 2
+	if lowered == k {
+		t.Fatalf("scenario lost its rounding: (5-k)/2 == k = %v", k)
+	}
+	xFirst := requireSameBits(t, []float64{5, 2 * k}, [][]int{{0, 1}, {0}, {0}, {1}})
+	yFirst := requireSameBits(t, []float64{2 * k, 5}, [][]int{{1, 0}, {1}, {1}, {0}})
+	if want := []float64{k, k, k, k}; !slices.Equal(xFirst, want) {
+		t.Errorf("X popped first: rates %v, want %v", xFirst, want)
+	}
+	if want := []float64{k, lowered, lowered, k}; !slices.Equal(yFirst, want) {
+		t.Errorf("Y popped first: rates %v, want %v", yFirst, want)
+	}
+}
+
+// BenchmarkComponentSolve measures one water-fill of a single connected
+// component — every flow crosses a shared hub plus one of n/4 spokes of
+// distinct capacity, so the fill has many levels — at 10, 1k and 16k
+// flows, with allocs/op. Each op toggles the hub capacity and re-solves.
+func BenchmarkComponentSolve(b *testing.B) {
+	for _, n := range []int{10, 1000, 16000} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			e := NewEngine()
+			e.SetDifferentialCheck(false) // the oracle allocates by design
+			spokes := make([]*Resource, max(1, n/4))
+			for i := range spokes {
+				spokes[i] = NewResource("spoke", 100+float64(i))
+			}
+			hubCaps := [2]float64{60 * float64(n), 61 * float64(n)}
+			hub := NewResource("hub", hubCaps[0])
+			for i := 0; i < n; i++ {
+				e.StartTransfer(1e18, func() {}, hub, spokes[i%len(spokes)])
+			}
+			e.RecomputeFlows() // fold the pending start batch; grows all scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hub.Capacity = hubCaps[i&1]
+				e.RecomputeResources(hub)
+				// Drop the completion event each solve schedules: Run never
+				// pops it, and the heap would otherwise grow with b.N.
+				e.events = e.events[:0]
+			}
+		})
 	}
 }

@@ -363,7 +363,7 @@ func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) 
 }
 
 // solveComponent water-fills one component on the dispatcher goroutine
-// and refreshes resource ownership and rate caches — the serial path of
+// and refreshes resource ownership — the serial path of
 // solveBatch. A drained component (no flows left) is retired: its
 // resources are closed out and it is removed from the live list.
 func (fs *flowSet) solveComponent(c *component) {
@@ -397,7 +397,7 @@ func (fs *flowSet) solveComponent(c *component) {
 		r.comp = c
 	}
 	// Resources the solve no longer touched belonged only to finished
-	// flows: zero their caches and release them.
+	// flows: release them.
 	for _, r := range c.resources {
 		if r.comp == c {
 			if st := fs.stateOf(r); st == nil || st.gen != gen {
@@ -406,7 +406,9 @@ func (fs *flowSet) solveComponent(c *component) {
 		}
 	}
 	c.resources = append(c.resources[:0], touched...)
-	fs.cacheRates(touched)
+	if fs.e.tracer != nil {
+		fs.sampleRates(touched)
+	}
 }
 
 // compNextCompletion scans one component's flow list — its completion
@@ -544,12 +546,11 @@ func (fs *flowSet) completeAll(gen int64) {
 }
 
 // closeResource releases a resource whose last crossing flow retired:
-// ownership and caches are cleared, and with a tracer attached it gets a
-// closing zero-rate sample.
+// ownership and the flow count are cleared, and with a tracer attached it
+// gets a closing zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
 	r.nflows = 0
-	r.alloc = 0
 	if fs.e.tracer != nil {
 		fs.e.tracer.ResourceSample(fs.e.now, r, 0)
 	}

@@ -46,23 +46,25 @@ const Infinity Time = Time(math.MaxFloat64)
 // handful of allocation rounds.
 const completionQuantum = 2e-5
 
-// Event kinds. The engine's own recurring events (process resumes, flow
-// completion, deferred batch solves, fan-out completions) are typed values
-// instead of closures, so pushing them allocates nothing; evFn carries an
-// arbitrary user callback.
+// Event kinds. The engine's own recurring events (process starts and
+// resumes, flow completion, deferred batch solves, fan-out completions) are
+// typed values instead of closures, so pushing them allocates nothing;
+// evFn carries an arbitrary user callback.
 const (
 	evFn uint8 = iota
+	evStart
 	evResume
 	evComplete
 	evBatch
 	evFanDone
+	numEventKinds
 )
 
 type event struct {
 	t    Time
 	seq  int64
 	kind uint8
-	proc *Proc   // evResume: the parked process to continue
+	proc *Proc   // evStart, evResume: the process to run
 	fan  *fanout // evFanDone: the TransferAll fan-out to decrement
 	gen  int64   // evComplete: flow-set generation stamp
 	fn   func()  // evFn
@@ -131,8 +133,6 @@ type Engine struct {
 	events eventHeap
 	seq    int64
 
-	idle chan struct{} // signalled by a proc when it parks or exits
-
 	procSeq  int64
 	parked   int // procs currently parked (alive but blocked)
 	flows    flowSet
@@ -143,6 +143,53 @@ type Engine struct {
 	// workers caps the solver fan-out for dirty-component batches; 1 keeps
 	// the engine fully serial (see SetWorkers).
 	workers int
+
+	// Exact work counters (see EngineStats).
+	dispatched [numEventKinds]int64
+	peakEvents int
+}
+
+// EngineStats are exact counters of the engine's own work: deterministic
+// for a given simulation, independent of the host, and reported by no
+// output format — they are for benchmarks and tests.
+type EngineStats struct {
+	// ProcsSpawned counts Go calls.
+	ProcsSpawned int64
+	// ProcSwitches counts hand-offs of control from the dispatcher to a
+	// process: its first run plus one per resume after a park.
+	ProcSwitches int64
+	// Events counts dispatched events by kind.
+	Events EventCounts
+	// PeakEvents is the high-water mark of pending events.
+	PeakEvents int
+}
+
+// EventCounts splits dispatched events by kind.
+type EventCounts struct {
+	Callbacks   int64 // At/After callbacks
+	Starts      int64 // process starts
+	Resumes     int64 // process resumes after a park
+	Completions int64 // flow-completion checks
+	Batches     int64 // deferred same-instant allocator batches
+	FanDones    int64 // TransferAll pieces drained
+}
+
+// Stats returns a snapshot of the engine's work counters.
+func (e *Engine) Stats() EngineStats {
+	d := &e.dispatched
+	return EngineStats{
+		ProcsSpawned: e.procSeq,
+		ProcSwitches: d[evStart] + d[evResume],
+		Events: EventCounts{
+			Callbacks:   d[evFn],
+			Starts:      d[evStart],
+			Resumes:     d[evResume],
+			Completions: d[evComplete],
+			Batches:     d[evBatch],
+			FanDones:    d[evFanDone],
+		},
+		PeakEvents: e.peakEvents,
+	}
 }
 
 // Tracer receives the engine's instrumentation stream: fluid-flow
@@ -183,7 +230,7 @@ func workersConfig(v string) int {
 // UNIVISTOR_SIM_WORKERS or SetWorkers) — results are identical at any
 // worker count.
 func NewEngine() *Engine {
-	e := &Engine{idle: make(chan struct{}), workers: defaultWorkers}
+	e := &Engine{workers: defaultWorkers}
 	e.flows.e = e
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
@@ -216,7 +263,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, kind: evFn, fn: fn})
+	e.push(event{t: t, seq: e.seq, kind: evFn, fn: fn})
 }
 
 // at schedules a typed, allocation-free internal event.
@@ -227,20 +274,30 @@ func (e *Engine) at(t Time, ev event) {
 	e.seq++
 	ev.t = t
 	ev.seq = e.seq
+	e.push(ev)
+}
+
+// push enqueues ev and tracks the event-heap high-water mark.
+func (e *Engine) push(ev event) {
 	e.events.push(ev)
+	if n := len(e.events); n > e.peakEvents {
+		e.peakEvents = n
+	}
 }
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 
-// Proc is a simulated process: a goroutine whose blocking operations are
-// mediated by the engine.
+// Proc is a simulated process: a coroutine whose blocking operations are
+// mediated by the engine. The dispatcher runs it with next until it parks
+// (yield hands control back) or returns.
 type Proc struct {
-	e    *Engine
-	id   int64
-	name string
-	wake chan struct{}
-	dead bool
+	e     *Engine
+	id    int64
+	name  string
+	fn    func(p *Proc)           // body, until the start event runs it
+	next  func() (struct{}, bool) // runs the proc until it parks or returns
+	yield func(struct{}) bool     // parks: hands control to the dispatcher
 }
 
 // Name returns the name the process was spawned with.
@@ -260,19 +317,8 @@ func (p *Proc) Now() Time { return p.e.now }
 // before Run or from inside a running process.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{e: e, id: e.procSeq, name: name, wake: make(chan struct{})}
-	e.At(e.now, func() {
-		go func() {
-			defer func() {
-				p.dead = true
-				e.idle <- struct{}{}
-			}()
-			<-p.wake
-			fn(p)
-		}()
-		p.wake <- struct{}{}
-		<-e.idle
-	})
+	p := &Proc{e: e, id: e.procSeq, name: name, fn: fn}
+	e.at(e.now, event{kind: evStart, proc: p})
 	return p
 }
 
@@ -280,8 +326,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // park must be paired with exactly one prior or future resume/resumeAt.
 func (p *Proc) park() {
 	p.e.parked++
-	p.e.idle <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 }
 
 // resume schedules the parked process to continue at the current virtual
@@ -318,13 +363,17 @@ func (p *Proc) Sleep(d Duration) {
 
 // dispatch executes one popped event in dispatcher context.
 func (e *Engine) dispatch(ev *event) {
+	e.dispatched[ev.kind]++
 	switch ev.kind {
 	case evFn:
 		ev.fn()
+	case evStart:
+		p := ev.proc
+		p.start()
+		p.next()
 	case evResume:
 		e.parked--
-		ev.proc.wake <- struct{}{}
-		<-e.idle
+		ev.proc.next()
 	case evComplete:
 		e.flows.completeAll(ev.gen)
 	case evBatch:
@@ -347,7 +396,8 @@ func (e *Engine) dispatch(ev *event) {
 
 // Run executes the simulation until no events remain. It returns the final
 // virtual time. If processes remain parked when the event queue drains, they
-// are deadlocked; Run returns and Deadlocked reports how many.
+// are deadlocked; Run returns and Deadlocked reports how many. A panic
+// inside a process propagates out of Run.
 func (e *Engine) Run() Time {
 	for !e.events.empty() {
 		ev := e.events.popMin()
@@ -399,13 +449,11 @@ type Resource struct {
 	Name     string
 	Capacity float64 // bytes per second
 
-	id     int64 // creation order; deterministic tie-breaking
-	nflows int   // active flows crossing this resource (maintained by flowSet)
-	// alloc is the allocated rate across this resource after the most
-	// recent recompute, with each flow counted once even when its path
-	// crosses the resource several times (maintained by flowSet; the same
-	// value ResourceSample reports).
-	alloc float64
+	id int64 // creation order; deterministic tie-breaking
+	// nflows is the count of unparked flow crossings the last solve saw,
+	// zeroed when the resource is released (maintained by flowSet); while
+	// non-zero, the resource's solve state is current.
+	nflows int
 	// comp is the connected component currently owning this resource, nil
 	// while no active flow crosses it (maintained by flowSet).
 	comp *component
@@ -424,19 +472,18 @@ func NewResource(name string, capacity float64) *Resource {
 	return &Resource{Name: name, Capacity: capacity, id: resourceSeq.Add(1)}
 }
 
-// Utilization returns the fraction of capacity currently allocated, in
-// [0, 1]. It reflects the most recent rate computation: the allocator
-// caches the per-resource rate on every recompute, so this is O(1) and
-// counts each flow once even when its path crosses the resource more
-// than once — the same value ResourceSample reports. A resource degraded
-// to zero capacity reports 0 (its flows are parked, nothing is allocated)
-// rather than NaN.
+// Utilization returns the fraction of capacity allocated by the most
+// recent rate computation, in [0, 1]. It is computed on demand from the
+// resource's last solve state — O(flows crossing r) — and counts each
+// flow once even when its path crosses the resource more than once: the
+// same value ResourceSample reports. A resource no active flow crosses,
+// or one degraded to zero capacity (its flows are parked, nothing is
+// allocated), reports 0 rather than NaN.
 func (r *Resource) Utilization(e *Engine) float64 {
-	_ = e // kept for API compatibility; the rate is cached on the resource
-	if r.Capacity <= 0 {
+	if r.Capacity <= 0 || r.nflows == 0 {
 		return 0
 	}
-	return r.alloc / r.Capacity
+	return rateSum(e.flows.stateOf(r)) / r.Capacity
 }
 
 type flow struct {

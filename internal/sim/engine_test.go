@@ -559,3 +559,75 @@ func TestCheckFlowConservation(t *testing.T) {
 		t.Fatal("check callback never ran")
 	}
 }
+
+// The engine's work counters are exact: pinned here on a small fixed
+// scenario whose every proc hand-off and event can be counted by hand.
+func TestEngineStatsExact(t *testing.T) {
+	e := NewEngine()
+	r := NewResource("disk", 100)
+	m := NewMailbox(e, "m")
+	e.Go("writer", func(p *Proc) {
+		p.Transfer(100, r) // park, resume at t=1
+		// Two fan-out pieces drain at t=2; the last one resumes the writer.
+		p.TransferAll([]Flow{{Size: 50, Path: []*Resource{r}}, {Size: 50, Path: []*Resource{r}}})
+		m.Send("done")
+	})
+	e.Go("reader", func(p *Proc) {
+		m.Recv(p)  // park, resume at t=2
+		p.Sleep(1) // park, resume at t=3
+	})
+	e.After(0.5, func() {})
+	e.Run()
+	got := e.Stats()
+	want := EngineStats{
+		ProcsSpawned: 2,
+		ProcSwitches: 6, // 2 starts + 4 resumes
+		Events: EventCounts{
+			Callbacks:   1,
+			Starts:      2,
+			Resumes:     4,
+			Completions: 2, // t=1 and t=2
+			Batches:     3, // one per instant that started or ended flows: t=0, 1, 2
+			FanDones:    2,
+		},
+		PeakEvents: 3, // both starts and the callback, before Run
+	}
+	if got != want {
+		t.Errorf("Stats() = %+v\nwant       %+v", got, want)
+	}
+}
+
+// A panic inside a process comes out of Run on the caller's goroutine,
+// where it can be recovered, instead of killing the program.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the proc's panic value %q", r, "boom")
+		}
+		if e.Now() != 1 {
+			t.Errorf("panic surfaced at t=%v, want 1", e.Now())
+		}
+	}()
+	e.Run()
+	t.Error("Run returned normally after a proc panicked")
+}
+
+// BenchmarkProcSwitch measures one park/resume round trip — a zero-length
+// wait through the event heap and back into the process — with allocs/op.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.resume()
+			p.park()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

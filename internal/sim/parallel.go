@@ -258,7 +258,6 @@ func (fs *flowSet) solveTask(c *component, sc *solveScratch, tb *taskBuf, gen in
 			if r.comp == c {
 				r.comp = nil
 				r.nflows = 0
-				r.alloc = 0
 				if trace {
 					tb.samples = append(tb.samples, resSample{r, 0})
 				}
@@ -281,7 +280,6 @@ func (fs *flowSet) solveTask(c *component, sc *solveScratch, tb *taskBuf, gen in
 			if st := r.state; st == nil || st.gen != gen {
 				r.comp = nil
 				r.nflows = 0
-				r.alloc = 0
 				if trace {
 					tb.samples = append(tb.samples, resSample{r, 0})
 				}
@@ -289,21 +287,9 @@ func (fs *flowSet) solveTask(c *component, sc *solveScratch, tb *taskBuf, gen in
 		}
 	}
 	c.resources = append(c.resources[:0], touched...)
-	for _, r := range touched {
-		used := 0.0
-		var prev *flow
-		for _, f := range r.state.flows {
-			if f == prev {
-				continue // repeat crossing of the same flow
-			}
-			prev = f
-			if f.rate > 0 {
-				used += f.rate
-			}
-		}
-		r.alloc = used
-		if trace {
-			tb.samples = append(tb.samples, resSample{r, used})
+	if trace {
+		for _, r := range touched {
+			tb.samples = append(tb.samples, resSample{r, rateSum(r.state)})
 		}
 	}
 }

@@ -176,8 +176,8 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 		}
 		// Post-split each side re-fills its own capacity: f1 and f2 share
 		// a at 60 each, f3 gets all of b.
-		if a.alloc != 120 || b.alloc != 120 {
-			t.Errorf("at t=50: alloc a=%v b=%v, want 120/120", a.alloc, b.alloc)
+		if ua, ub := a.Utilization(e)*a.Capacity, b.Utilization(e)*b.Capacity; ua != 120 || ub != 120 {
+			t.Errorf("at t=50: allocated a=%v b=%v, want 120/120", ua, ub)
 		}
 	})
 	e.Run()
